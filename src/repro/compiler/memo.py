@@ -10,6 +10,10 @@ the spatial grid while every buffer capacity stays put — in both cases
 most remainder vectors (and therefore their temporal enumerations)
 recur verbatim.
 
+An enumeration is stored as one :class:`TemporalBlock`: the T, L and
+forced-X tiles of every combo as ``(n, K)`` int64 arrays, rows in
+enumeration order, ready to be priced as a block.
+
 The memo key is the *temporal context*: everything the temporal stage
 reads apart from the remainder vector itself — layer kind and footprint
 parameters, reduction/weight tags, the adjacency-allowed T/L loops, the
@@ -28,12 +32,32 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ScheduleError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
-    from repro.compiler.search import _TemporalCombo
+
+@dataclass(frozen=True)
+class TemporalBlock:
+    """The (T, L, forced-X) splits of one remainder vector, as arrays.
+
+    Struct of arrays: row ``i`` of ``t``, ``l`` and ``x`` is combo ``i``'s
+    positional tile at that temporal level, an ``(n, K)`` int64 array each,
+    rows in enumeration order.  The arrays are read-only because entries
+    are shared across searches.
+    """
+
+    t: np.ndarray
+    l: np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self) -> None:
+        for tiles in (self.t, self.l, self.x):
+            tiles.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -41,12 +65,12 @@ class MemoEntry:
     """One memoized temporal enumeration plus its replay accounting.
 
     Attributes:
-        combos: The (T, L, X) combos, in enumeration order.
+        block: The (T, L, X) combos, in enumeration order.
         steps: Step-clock charge of the original enumeration.
         pruned: Capacity prunes the original enumeration counted.
     """
 
-    combos: tuple["_TemporalCombo", ...]
+    block: TemporalBlock
     steps: int
     pruned: int
 
@@ -97,13 +121,13 @@ class TemporalMemo:
         self,
         context: tuple,
         rem: tuple[int, ...],
-        combos: tuple["_TemporalCombo", ...],
+        block: TemporalBlock,
         steps: int,
         pruned: int,
     ) -> None:
         """Record one enumeration with its replay accounting."""
         self._entries[(context, rem)] = MemoEntry(
-            combos=combos, steps=steps, pruned=pruned
+            block=block, steps=steps, pruned=pruned
         )
         if self.max_entries is not None and len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

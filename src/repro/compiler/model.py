@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from repro.compiler.adjacency import needs_ewop_reduction
-from repro.compiler.mapping import MappingVectors, SPATIAL_LEVELS, TEMPORAL_LEVELS
+from repro.compiler.mapping import MappingVectors
 from repro.overlay.config import OverlayConfig
 from repro.units import ceil_div
 from repro.workloads.layers import ConvLayer, MatMulLayer
@@ -221,6 +223,131 @@ def abft_overhead(
     )
 
 
+@dataclass(frozen=True)
+class BlockEstimate:
+    """:func:`price_block`'s result: arrays with one entry per candidate
+    row for a block, Python numbers for a single tuple row."""
+
+    c_comp: np.ndarray
+    c_actbus: np.ndarray
+    c_psumbus: np.ndarray
+    c_dram_rd: np.ndarray
+    c_dram_wr: np.ndarray
+    #: Eqn 12: max of the five terms (their sum without double-buffering).
+    c_exe: np.ndarray
+    e_wbuf: np.ndarray
+    #: Objective 2 balance score (corrected Eqn 13).
+    score: np.ndarray
+    weight_stalled: np.ndarray
+    actbuf_words: np.ndarray
+    wbuf_words: np.ndarray
+    psumbuf_words: np.ndarray
+
+
+def _ceil_words(words, words_per_cycle: float):
+    """Cycles to move ``words`` at a (possibly fractional) bus width.
+
+    Float floor division of the negated count, on Python ints and on
+    int64 arrays alike (NumPy divides in float64): exact while
+    words < 2**53.
+    """
+    cycles = -(-words // words_per_cycle)
+    if isinstance(cycles, np.ndarray):
+        return cycles.astype(np.int64)
+    return int(cycles)
+
+
+def _times(*tiles: list) -> list:
+    """Per-loop product of positional tiles given as column lists."""
+    return [prod(column) for column in zip(*tiles)]
+
+
+def price_block(
+    layer: AcceleratedLayer, config: OverlayConfig,
+    d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
+    x: np.ndarray, l: np.ndarray, t: np.ndarray,
+) -> BlockEstimate:
+    """Price a block of candidate mappings (Eqns 7-9, 12-13).
+
+    Each argument is a positional tile per hardware level, loops in
+    ``layer.loop_dims()`` order: an ``(n, K)`` int64 array prices ``n``
+    candidates (row ``i`` is candidate ``i``) and yields arrays; a
+    length-K tuple of ints is the one-row case and yields Python
+    numbers.  Both run the same arithmetic below.  Feasibility is not
+    checked here.
+    """
+    dims = layer.loop_dims()
+    d1, d2, d3, x, l, t = (
+        layer.tile_columns(tile) for tile in (d1, d2, d3, x, l, t)
+    )
+    x_trips, l_trips = prod(x), prod(l)
+
+    # --- Eqn 7: computation time ------------------------------------- #
+    # Double-pump needs >= 2 consecutive MACCs per weight word; a LoopT
+    # tile without a non-weight loop cannot provide them.
+    non_weight_reuse = prod(c for c, d in zip(t, dims) if not d.in_weights)
+    weight_stalled = (non_weight_reuse < 2) & config.double_pump
+    c_comp = x_trips * (l_trips * prod(t) * (1 + weight_stalled)
+                        + config.pipeline_latency)
+
+    # --- buffer tiles -------------------------------------------------- #
+    # ActBUF holds one LoopT tile per TPE.  WBUF holds one LoopX pass's
+    # weight slice; slices swap across passes and the layer's full
+    # per-TPE slice streams from DRAM once.  PSumBUF holds the outputs
+    # accumulated across one LoopX iteration.
+    lt = _times(l, t)
+    actbuf_words = layer.act_footprint(t)
+    wbuf_words = layer.weight_footprint(lt)
+    wbuf_stream_words = layer.weight_footprint(_times(x, lt))
+    psumbuf_words = layer.out_footprint(lt)
+
+    # --- Eqn 8: ActBUS ------------------------------------------------- #
+    # One row broadcast serves all D2 columns; the D1 TPEs of a SuperBlock
+    # need distinct reduction slices, so the row tile spans T and D1.
+    td1 = _times(t, d1)
+    f_act_row = layer.act_footprint(td1)
+    c_actbus = _ceil_words(x_trips * l_trips * f_act_row, config.actbus_wpc)
+
+    # --- Eqn 9: PSumBUS ------------------------------------------------ #
+    # Accumulating across LoopX passes re-fetches the tile before storing.
+    x_maps_reduction = sum(c > 1 for c, d in zip(x, dims) if d.reduction) > 0
+    psum_round_trips = 1 + x_maps_reduction
+    used_d3, used_d2 = prod(d3), prod(d2)
+    c_psumbus = _ceil_words(
+        x_trips * used_d3 * psumbuf_words * psum_round_trips,
+        config.psumbus_words_per_cycle,
+    )
+
+    # --- DRAM ----------------------------------------------------------- #
+    # Activations: rows mapping different activation slices each need their
+    # own data, captured by the combined (T, D1, D3) tile footprint.
+    act_read_words = x_trips * l_trips * layer.act_footprint(_times(td1, d3))
+    psum_total = x_trips * used_d2 * used_d3 * psumbuf_words
+    psum_reread_words = psum_total * (psum_round_trips - 1)
+    # Weight streaming: every stored (possibly duplicated) weight word
+    # crosses the DRAM interface once per layer execution — unless the
+    # config declares the weights resident (§III-A1 preload).
+    stored_words = prod(d1) * used_d2 * used_d3 * wbuf_stream_words
+    read_words = act_read_words + psum_reread_words
+    if not config.weights_resident:
+        read_words = read_words + stored_words
+    c_dram_rd = _ceil_words(read_words, config.dram_rd_words_per_cycle())
+    c_dram_wr = _ceil_words(psum_total, config.dram_wr_words_per_cycle())
+
+    # --- Eqn 12 and the WBUF efficiency --------------------------------- #
+    terms = (c_comp, c_actbus, c_psumbus, c_dram_rd, c_dram_wr)
+    c_exe = np.maximum.reduce(terms) if config.double_buffer else sum(terms)
+    e_wbuf = np.minimum(layer.weight_words / stored_words, 1.0)
+    c_exe_min = max(1, ceil_div(layer.maccs, config.n_tpe))
+    return BlockEstimate(
+        c_comp=c_comp, c_actbus=c_actbus, c_psumbus=c_psumbus,
+        c_dram_rd=c_dram_rd, c_dram_wr=c_dram_wr, c_exe=c_exe,
+        e_wbuf=e_wbuf, score=c_exe_min / c_exe + e_wbuf,
+        weight_stalled=weight_stalled, actbuf_words=actbuf_words,
+        wbuf_words=wbuf_words, psumbuf_words=psumbuf_words,
+    )
+
+
 def evaluate_mapping(
     layer: AcceleratedLayer,
     config: OverlayConfig,
@@ -228,81 +355,22 @@ def evaluate_mapping(
 ) -> PerformanceEstimate:
     """Price ``mapping`` for ``layer`` on ``config`` (Eqns 7-9).
 
-    The mapping is not checked for feasibility here; run
+    The one-row case of :func:`price_block`.  The mapping is not checked
+    for feasibility here; run
     :func:`repro.compiler.constraints.check_constraints` first when the
     mapping comes from outside the scheduler.
     """
-    x, l_trips, t_trips = mapping.x, mapping.l, mapping.t
-
-    # --- Eqn 7: computation time ------------------------------------- #
-    # Double-pump needs >= 2 consecutive MACCs per weight word; a LoopT
-    # tile without a non-weight loop cannot provide them.
-    t_tile = mapping.tile(("T",))
-    non_weight_reuse = prod(
-        t_tile[d.name] for d in layer.loop_dims() if not d.in_weights
-    )
-    weight_stalled = config.double_pump and non_weight_reuse < 2
-    stall = 2 if weight_stalled else 1
-    c_comp = x * (l_trips * t_trips * stall + config.pipeline_latency)
-
-    # --- buffer tiles -------------------------------------------------- #
-    # ActBUF holds one LoopT tile per TPE.
-    actbuf_words = layer.act_footprint(t_tile)
-    # WBUF holds one LoopX pass's weight slice; slices swap across passes
-    # and the layer's full per-TPE slice streams from DRAM once.
-    wbuf_words = layer.weight_footprint(mapping.tile(("L", "T")))
-    wbuf_stream_words = layer.weight_footprint(mapping.tile(TEMPORAL_LEVELS))
-    # PSumBUF holds the outputs accumulated across one LoopX iteration.
-    psumbuf_words = layer.out_footprint(mapping.tile(("T", "L")))
-
-    # --- Eqn 8: ActBUS ------------------------------------------------- #
-    # One row broadcast serves all D2 columns; the D1 TPEs of a SuperBlock
-    # need distinct reduction slices, so the row tile spans T and D1.
-    f_act_row = layer.act_footprint(mapping.tile(("T", "D1")))
-    c_actbus = int(-(-x * l_trips * f_act_row // config.actbus_wpc))
-
-    # --- Eqn 9: PSumBUS ------------------------------------------------ #
-    reduction_names = {d.name for d in layer.loop_dims() if d.reduction}
-    x_maps_reduction = any(
-        mapping.trips["X"][name] > 1 for name in reduction_names
-    )
-    # Accumulating across LoopX passes re-fetches the tile before storing.
-    psum_round_trips = 2 if x_maps_reduction else 1
-    used_d3 = mapping.level_product("D3")
-    used_d2 = mapping.level_product("D2")
-    psum_volume_per_column = x * used_d3 * psumbuf_words * psum_round_trips
-    c_psumbus = int(-(-psum_volume_per_column // config.psumbus_words_per_cycle))
-
-    # --- DRAM ----------------------------------------------------------- #
-    # Activations: rows mapping different activation slices each need their
-    # own data, captured by the combined (T, D1, D3) tile footprint.
-    f_act_dram = layer.act_footprint(mapping.tile(("T", "D1", "D3")))
-    act_read_words = x * l_trips * f_act_dram
-    psum_total = x * used_d2 * used_d3 * psumbuf_words
-    psum_reread_words = psum_total * (psum_round_trips - 1)
-    # Weight streaming: every stored (possibly duplicated) weight word
-    # crosses the DRAM interface once per layer execution — unless the
-    # config declares the weights resident (§III-A1 preload).
-    stored_words = mapping.used_tpes() * wbuf_stream_words
-    streamed_words = 0 if config.weights_resident else stored_words
-    read_words = act_read_words + psum_reread_words + streamed_words
-    c_dram_rd = int(-(-read_words // config.dram_rd_words_per_cycle()))
-    c_dram_wr = int(-(-psum_total // config.dram_wr_words_per_cycle()))
-
-    # --- WBUF efficiency ------------------------------------------------ #
-    e_wbuf = layer.weight_words / stored_words if stored_words else 0.0
-
+    names = [d.name for d in layer.loop_dims()]
+    row = price_block(layer, config, *(
+        tuple(mapping.trips[level][name] for name in names)
+        for level in ("D1", "D2", "D3", "X", "L", "T")
+    ))
     return PerformanceEstimate(
-        c_comp=c_comp,
-        c_actbus=c_actbus,
-        c_psumbus=c_psumbus,
-        c_dram_rd=c_dram_rd,
-        c_dram_wr=c_dram_wr,
-        e_wbuf=min(e_wbuf, 1.0),
-        weight_stalled=weight_stalled,
-        actbuf_words=actbuf_words,
-        wbuf_words=wbuf_words,
-        psumbuf_words=psumbuf_words,
+        c_comp=row.c_comp, c_actbus=row.c_actbus, c_psumbus=row.c_psumbus,
+        c_dram_rd=row.c_dram_rd, c_dram_wr=row.c_dram_wr,
+        e_wbuf=float(row.e_wbuf), weight_stalled=row.weight_stalled,
+        actbuf_words=row.actbuf_words, wbuf_words=row.wbuf_words,
+        psumbuf_words=row.psumbuf_words,
         ewop_accumulate=needs_ewop_reduction(layer, mapping.trips["D3"]),
         useful_maccs=layer.maccs,
         n_tpe=config.n_tpe,

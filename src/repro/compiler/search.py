@@ -16,29 +16,41 @@ Enumeration strategy (kept exhaustive over the *structured* space):
    LoopT tiles under the ActBUF capacity, then LoopL tiles (adjacency-
    restricted) under the PSumBUF/WBUF capacities.  LoopX is then *forced*:
    the minimal cover of each loop's remainder (Eqn 11), which is always
-   optimal because X is unconstrained and outermost.  Temporal combos are
-   memoized per remainder vector — spatial twins share them.
+   optimal because X is unconstrained and outermost.  Both tile stages
+   are breadth-first masked expansions over int64 arrays of positional
+   tiles, largest tile first, so rows come out in depth-first leaf
+   order.  A remainder vector's combos form one struct-of-arrays
+   :class:`~repro.compiler.memo.TemporalBlock`, memoized per remainder
+   vector — spatial twins share it.
 
-Candidates are priced inline with the same arithmetic as
-:func:`repro.compiler.model.evaluate_mapping` (a hot loop over plain
-tuples); the top-k winners are re-materialized as full
-:class:`MappingVectors` and re-priced by the authoritative model, which
-also re-checks every constraint.
+Pricing uses the one cost model,
+:func:`repro.compiler.model.price_block`: each search prices its
+spatial x temporal candidates as array blocks (chunked, so memory stays
+bounded) and keeps the top-k by a stable lexsort on the objective key,
+enumeration order last.  The winners are materialized as full
+:class:`MappingVectors` and re-priced by
+:func:`~repro.compiler.model.evaluate_mapping` (the model's one-row
+case), which also re-checks every constraint.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+import numpy as np
+
 from repro.compiler.adjacency import adjacency_matrix
 from repro.compiler.constraints import check_constraints
 from repro.compiler.mapping import MappingVectors
-from repro.compiler.memo import TemporalMemo
-from repro.compiler.model import PerformanceEstimate, evaluate_mapping
+from repro.compiler.memo import TemporalBlock, TemporalMemo
+from repro.compiler.model import (
+    BlockEstimate,
+    PerformanceEstimate,
+    evaluate_mapping,
+    price_block,
+)
 from repro.errors import ScheduleError
 from repro.overlay.config import OverlayConfig
 from repro.trace.metrics import MetricsRegistry, as_metrics
@@ -50,6 +62,9 @@ AcceleratedLayer = ConvLayer | MatMulLayer
 
 #: Valid objective names.
 OBJECTIVES = ("performance", "balance")
+
+#: Candidate rows priced per block; bounds the pricer's peak memory.
+_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,27 @@ def _ceil_tile_lattice(size: int, cap: int) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
+@lru_cache(maxsize=65536)
+def _descending_lattice(size: int) -> np.ndarray:
+    """Every tile worth trying on a ``size`` loop, largest first."""
+    lattice = np.array(_ceil_tile_lattice(size, size)[::-1], dtype=np.int64)
+    lattice.setflags(write=False)
+    return lattice
+
+
+def _lattice_rows(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each size's descending lattice, concatenated, and their lengths."""
+    unique, inverse = np.unique(sizes, return_inverse=True)
+    lattices = [_descending_lattice(int(size)) for size in unique]
+    unique_lengths = np.array([len(lattice) for lattice in lattices])
+    lengths = unique_lengths[inverse]
+    # Output slot ends[r] - lengths[r] + j takes concatenated starts[r] + j.
+    starts = (np.cumsum(unique_lengths) - unique_lengths)[inverse]
+    ends = np.cumsum(lengths)
+    index = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    return np.concatenate(lattices)[index], lengths
+
+
 def ceil_tile_candidates(size: int, cap: int) -> list[int]:
     """Tile sizes worth considering for a loop of ``size``, at most ``cap``.
 
@@ -133,30 +169,6 @@ def _level_assignments(
 
     recurse(0, {}, cap)
     return assignments
-
-
-@dataclass(frozen=True)
-class _TemporalCombo:
-    """One memoized (T, L, forced-X) split of a remainder vector."""
-
-    t_tile: tuple[int, ...]
-    l_tile: tuple[int, ...]
-    x_tile: tuple[int, ...]
-    t: int
-    l: int
-    x: int
-    #: ActBUF footprint of the T tile (words per TPE).
-    act_fp_t: int
-    #: PSumBUF footprint of the T*L tile (words per SuperBlock).
-    psum_fp: int
-    #: Weight words per TPE over T*L (one LoopX pass slice).
-    wbuf_slice: int
-    #: Weight words per TPE over X*L*T (the streamed slice).
-    wbuf_stream: int
-    #: Double-pump stall: T tile has no 2-cycle weight reuse.
-    stalled: bool
-    #: A LoopX trip splits a reduction loop (multipass accumulation).
-    multipass: bool
 
 
 class ScheduleSearch:
@@ -219,6 +231,10 @@ class ScheduleSearch:
         self._reduction = tuple(d.reduction for d in dims)
         self._in_weights = tuple(d.in_weights for d in dims)
         self._k = len(dims)
+        self._t_loops, self._l_loops = (
+            [self._loop_names.index(n) for n in self._allowed_loops(level)]
+            for level in ("T", "L")
+        )
         self.candidates_evaluated = 0
         self.tracer = as_tracer(tracer)
         self.metrics = as_metrics(metrics)
@@ -247,39 +263,6 @@ class ScheduleSearch:
         return self.step_base + self.steps
 
     # ------------------------------------------------------------------ #
-    # fast footprint helpers on positional tiles
-    # ------------------------------------------------------------------ #
-    def _act_fp(self, tile: tuple[int, ...]) -> int:
-        layer = self.layer
-        if isinstance(layer, ConvLayer):
-            m, n, h, w, r, s = tile
-            rows = (h - 1) * layer.stride + r
-            cols = (w - 1) * layer.stride + s
-            groups_touched = 1
-            if layer.groups > 1:
-                groups_touched = min(
-                    layer.groups, -(-m // layer.group_out_channels)
-                )
-            return groups_touched * n * rows * cols
-        m, n, p = tile
-        return m * p
-
-    def _out_fp(self, tile: tuple[int, ...]) -> int:
-        if isinstance(self.layer, ConvLayer):
-            return tile[0] * tile[2] * tile[3]
-        return tile[1] * tile[2]
-
-    def _weight_fp(self, tile: tuple[int, ...]) -> int:
-        if isinstance(self.layer, ConvLayer):
-            return tile[0] * tile[1] * tile[4] * tile[5]
-        return tile[0] * tile[1]
-
-    def _nonweight_product(self, tile: tuple[int, ...]) -> int:
-        return prod(
-            t for t, in_w in zip(tile, self._in_weights) if not in_w
-        )
-
-    # ------------------------------------------------------------------ #
     # spatial stage
     # ------------------------------------------------------------------ #
     def _allowed_loops(self, level: str) -> list[str]:
@@ -288,39 +271,39 @@ class ScheduleSearch:
             if self._adjacency[level][name] and size > 1
         ]
 
-    def _spatial_choices(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Joint (D1, D2, D3) positional tiles, beam-ranked."""
+    def _spatial_choices(self) -> np.ndarray:
+        """Joint (D1, D2, D3) positional tiles, beam-ranked: ``(S, 3, K)``.
+
+        Every triple of per-level assignments, D3 varying fastest, ranked
+        by TPEs used (descending) then padding; the sort is stable, so
+        ties keep enumeration order.
+        """
         sizes = dict(zip(self._loop_names, self._sizes))
-        per_level = [
-            _level_assignments(sizes, self._allowed_loops(level), cap)
-            for level, cap in (
-                ("D1", self.config.d1),
-                ("D2", self.config.d2),
-                ("D3", self.config.d3),
-            )
+        levels = [
+            np.array([
+                [assignment.get(name, 1) for name in self._loop_names]
+                for assignment in _level_assignments(
+                    sizes, self._allowed_loops(level), cap)
+            ], dtype=np.int64)
+            for level, cap in zip(("D1", "D2", "D3"), self.config.grid)
         ]
-
-        def positional(assignment: dict[str, int]) -> tuple[int, ...]:
-            return tuple(assignment.get(n, 1) for n in self._loop_names)
-
-        joint = []
-        for a1, a2, a3 in itertools.product(*per_level):
-            t1, t2, t3 = positional(a1), positional(a2), positional(a3)
-            used = prod(t1) * prod(t2) * prod(t3)
-            pad = 1.0
-            for i, size in enumerate(self._sizes):
-                split = t1[i] * t2[i] * t3[i]
-                if split > 1:
-                    tile = ceil_div(size, split)
-                    pad *= (tile * split) / size if tile * split > size else 1.0
-            joint.append((used, pad, (t1, t2, t3)))
-        joint.sort(key=lambda item: (-item[0], item[1]))
-        self.spatial_enumerated += len(joint)
-        self.steps += len(joint)
-        if self.spatial_beam is not None and len(joint) > self.spatial_beam:
-            self.spatial_beam_dropped += len(joint) - self.spatial_beam
-            joint = joint[: self.spatial_beam]
-        return [spatial for _, _, spatial in joint]
+        picks = np.indices([len(tiles) for tiles in levels]).reshape(3, -1)
+        used = prod(tiles.prod(axis=1)[pick] for tiles, pick in zip(levels, picks))
+        # The padding factor is a float product taken in loop order.
+        pad = np.ones(len(used))
+        for i, size in enumerate(self._sizes):
+            split = prod(tiles[pick, i] for tiles, pick in zip(levels, picks))
+            covered = -(-size // split) * split
+            pad *= np.where(covered > size, covered / size, 1.0)
+        order = np.lexsort((pad, -used))
+        self.spatial_enumerated += len(order)
+        self.steps += len(order)
+        if self.spatial_beam is not None and len(order) > self.spatial_beam:
+            self.spatial_beam_dropped += len(order) - self.spatial_beam
+            order = order[: self.spatial_beam]
+        return np.stack(
+            [tiles[pick[order]] for tiles, pick in zip(levels, picks)], axis=1
+        )
 
     # ------------------------------------------------------------------ #
     # temporal stage (memoized per remainder vector)
@@ -354,167 +337,94 @@ class ScheduleSearch:
             self.temporal_beam,
         )
 
-    def _t_tiles(self, rem: tuple[int, ...]) -> list[tuple[int, ...]]:
-        allowed = set(self._allowed_loops("T"))
-        active = [
-            i for i, name in enumerate(self._loop_names)
-            if name in allowed and rem[i] > 1
-        ]
-        act_cap = self.config.actbuf_usable_words
-        psum_cap = self.config.psumbuf_usable_words
-        wbuf_cap = self.config.s_wbuf_words
-        tiles: list[tuple[int, ...]] = []
-        current = [1] * self._k
-
-        def recurse(pos: int) -> None:
-            if pos == len(active):
-                tiles.append(tuple(current))
-                return
-            i = active[pos]
-            # Largest tiles first: they amortize LoopX overhead best.
-            for tile in reversed(_ceil_tile_lattice(rem[i], rem[i])):
-                current[i] = tile
-                candidate = tuple(current)
-                if (
-                    self._act_fp(candidate) <= act_cap
-                    and self._out_fp(candidate) <= psum_cap
-                    and self._weight_fp(candidate) <= wbuf_cap
-                ):
-                    recurse(pos + 1)
-                else:
-                    self.pruned_by_capacity += 1
-            current[i] = 1
-
-        recurse(0)
-        return tiles or [tuple(current)]
-
-    def _temporal_combos(self, rem: tuple[int, ...]) -> list[_TemporalCombo]:
-        l_allowed = set(self._allowed_loops("L"))
-        l_active_base = [
-            i for i, name in enumerate(self._loop_names) if name in l_allowed
-        ]
-        combos: list[_TemporalCombo] = []
-        psum_cap = self.config.psumbuf_usable_words
-        wbuf_cap = self.config.s_wbuf_words
-
-        for t_tile in self._t_tiles(rem):
-            if self.temporal_beam is not None and len(combos) >= self.temporal_beam:
-                break
-            # Enumerate L tiles over the loops still carrying iterations.
-            l_choices: list[tuple[int, ...]] = [tuple([1] * self._k)]
-            for i in l_active_base:
-                remaining = ceil_div(rem[i], t_tile[i])
-                if remaining <= 1:
-                    continue
-                extended = []
-                for base in l_choices:
-                    for tile in reversed(_ceil_tile_lattice(remaining, remaining)):
-                        candidate = list(base)
-                        candidate[i] = tile
-                        combined = tuple(
-                            t_tile[j] * candidate[j] for j in range(self._k)
-                        )
-                        if (
-                            self._out_fp(combined) <= psum_cap
-                            and self._weight_fp(combined) <= wbuf_cap
-                        ):
-                            extended.append(tuple(candidate))
-                        else:
-                            self.pruned_by_capacity += 1
-                if extended:
-                    l_choices = extended
-            for l_tile in l_choices:
-                if (
-                    self.temporal_beam is not None
-                    and len(combos) >= self.temporal_beam
-                ):
-                    break
-                x_tile = tuple(
-                    ceil_div(rem[i], t_tile[i] * l_tile[i])
-                    for i in range(self._k)
-                )
-                lt_tile = tuple(
-                    t_tile[i] * l_tile[i] for i in range(self._k)
-                )
-                xlt_tile = tuple(
-                    lt_tile[i] * x_tile[i] for i in range(self._k)
-                )
-                self.steps += 1
-                combos.append(
-                    _TemporalCombo(
-                        t_tile=t_tile,
-                        l_tile=l_tile,
-                        x_tile=x_tile,
-                        t=prod(t_tile),
-                        l=prod(l_tile),
-                        x=prod(x_tile),
-                        act_fp_t=self._act_fp(t_tile),
-                        psum_fp=self._out_fp(lt_tile),
-                        wbuf_slice=self._weight_fp(lt_tile),
-                        wbuf_stream=self._weight_fp(xlt_tile),
-                        stalled=(
-                            self.config.double_pump
-                            and self._nonweight_product(t_tile) < 2
-                        ),
-                        multipass=any(
-                            x_tile[i] > 1
-                            for i in range(self._k)
-                            if self._reduction[i]
-                        ),
-                    )
-                )
-        return combos
-
-    # ------------------------------------------------------------------ #
-    # pricing (mirrors evaluate_mapping on plain tuples)
-    # ------------------------------------------------------------------ #
-    def _price(
-        self,
-        spatial: tuple[tuple[int, ...], ...],
-        combo: _TemporalCombo,
-    ) -> tuple[int, float, float]:
-        """Return (c_exe, e_wbuf, score) for one candidate."""
-        config = self.config
-        d1_tile, d2_tile, d3_tile = spatial
-        used_d1, used_d2, used_d3 = prod(d1_tile), prod(d2_tile), prod(d3_tile)
-        used_tpes = used_d1 * used_d2 * used_d3
-
-        stall = 2 if combo.stalled else 1
-        c_comp = combo.x * (combo.l * combo.t * stall + config.pipeline_latency)
-
-        td1 = tuple(combo.t_tile[i] * d1_tile[i] for i in range(self._k))
-        f_act_row = self._act_fp(td1)
-        c_actbus = int(
-            -(-combo.x * combo.l * f_act_row // config.actbus_wpc)
+    def _fits(self, tiles: np.ndarray, act: bool) -> np.ndarray:
+        """Which rows of ``tiles`` fit PSumBUF and WBUF (and ActBUF)."""
+        layer, config = self.layer, self.config
+        fits = (layer.out_footprint(tiles) <= config.psumbuf_usable_words) & (
+            layer.weight_footprint(tiles) <= config.s_wbuf_words
         )
+        if act:
+            fits &= layer.act_footprint(tiles) <= config.actbuf_usable_words
+        return fits
 
-        round_trips = 2 if combo.multipass else 1
-        c_psumbus = int(
-            -(-combo.x * used_d3 * combo.psum_fp * round_trips
-              // config.psumbus_words_per_cycle)
-        )
+    def _t_tiles(self, rem: tuple[int, ...]) -> np.ndarray:
+        """LoopT tiles of ``rem`` under all three buffer capacities.
 
-        td1d3 = tuple(td1[i] * d3_tile[i] for i in range(self._k))
-        act_read = combo.x * combo.l * self._act_fp(td1d3)
-        psum_total = combo.x * used_d2 * used_d3 * combo.psum_fp
-        stored = used_tpes * combo.wbuf_stream
-        streamed = 0 if config.weights_resident else stored
-        read_words = act_read + psum_total * (round_trips - 1) + streamed
-        c_dram_rd = int(-(-read_words // config.dram_rd_words_per_cycle()))
-        c_dram_wr = int(-(-psum_total // config.dram_wr_words_per_cycle()))
+        A breadth-first masked expansion over the active loops, largest
+        tile first (they amortize LoopX overhead best): rows come out
+        prefix-major, a depth-first walk's leaf order.  Every failing
+        (prefix, tile) pair counts as one prune.
+        """
+        tiles = np.ones((1, self._k), dtype=np.int64)
+        for i in self._t_loops:
+            if rem[i] <= 1:
+                continue
+            lattice = _descending_lattice(rem[i])
+            expanded = np.repeat(tiles, len(lattice), axis=0)
+            expanded[:, i] = np.tile(lattice, len(tiles))
+            fits = self._fits(expanded, act=True)
+            self.pruned_by_capacity += len(fits) - int(np.count_nonzero(fits))
+            tiles = expanded[fits]
+        return tiles if len(tiles) else np.ones((1, self._k), dtype=np.int64)
 
-        terms = (c_comp, c_actbus, c_psumbus, c_dram_rd, c_dram_wr)
-        c_exe = max(terms) if config.double_buffer else sum(terms)
+    def _l_tiles(
+        self, rem: tuple[int, ...], t_tiles: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """LoopL tiles for every row of ``t_tiles``, under PSumBUF/WBUF.
 
-        e_wbuf = min(1.0, self.layer.weight_words / stored) if stored else 0.0
-        c_min = max(1, ceil_div(self.layer.maccs, config.n_tpe))
-        score = c_min / c_exe + e_wbuf
-        return c_exe, e_wbuf, score
+        The same masked expansion over the L-allowed loops that still
+        carry iterations after T.  When no tile of a loop fits, a T tile
+        keeps its previous choices (that loop stays at 1).  Returns the
+        L tiles, the ``t_tiles`` row each belongs to (grouped by T tile,
+        in order) and the prunes counted per T tile.
+        """
+        n = len(t_tiles)
+        l_tiles = np.ones_like(t_tiles)
+        owner = np.arange(n)
+        pruned = np.zeros(n, dtype=np.int64)
+        for i in self._l_loops:
+            remaining = -(-rem[i] // t_tiles[owner, i])
+            active = remaining > 1
+            if not active.any():
+                continue
+            values, lengths = _lattice_rows(remaining[active])
+            expanded = np.repeat(l_tiles[active], lengths, axis=0)
+            expanded[:, i] = values
+            expanded_owner = np.repeat(owner[active], lengths)
+            fits = self._fits(t_tiles[expanded_owner] * expanded, act=False)
+            pruned += np.bincount(expanded_owner[~fits], minlength=n)
+            extended = np.bincount(expanded_owner[fits], minlength=n) > 0
+            keep = ~extended[owner]
+            owner = np.concatenate((owner[keep], expanded_owner[fits]))
+            order = np.argsort(owner, kind="stable")
+            owner = owner[order]
+            l_tiles = np.concatenate((l_tiles[keep], expanded[fits]))[order]
+        return l_tiles, owner, pruned
 
-    def _objective_key(self, c_exe: int, e_wbuf: float, score: float) -> tuple:
-        if self.objective == "performance":
-            return (c_exe, -e_wbuf)
-        return (-score, c_exe)
+    def _temporal_block(self, rem: tuple[int, ...]) -> TemporalBlock:
+        """The (T, L, forced-X) combos of ``rem``, up to the temporal beam.
+
+        T tiles are visited in order while the beam has room; a visited
+        T tile's L choices are enumerated (and their prunes counted) in
+        full, then taken in order until the beam is full.
+        """
+        beam = self.temporal_beam
+        t_tiles = self._t_tiles(rem)
+        if beam is not None:
+            # Every T tile yields at least one combo.
+            t_tiles = t_tiles[:beam]
+        l_tiles, owner, pruned = self._l_tiles(rem, t_tiles)
+        visited = len(t_tiles)
+        if beam is not None:
+            filled = np.cumsum(np.bincount(owner, minlength=visited))
+            visited = min(visited, int(np.searchsorted(filled, beam)) + 1)
+            l_tiles = l_tiles[owner < visited][:beam]
+            owner = owner[owner < visited][:beam]
+        self.pruned_by_capacity += int(pruned[:visited].sum())
+        self.steps += len(l_tiles)
+        t_tiles = t_tiles[owner]
+        x_tiles = -(-np.array(rem, dtype=np.int64) // (t_tiles * l_tiles))
+        return TemporalBlock(t=t_tiles, l=l_tiles, x=x_tiles)
 
     # ------------------------------------------------------------------ #
     def run(self) -> list[Schedule]:
@@ -545,11 +455,11 @@ class ScheduleSearch:
                 tracer.end(self._now())
             self._mirror_metrics(snapshot)
 
-    def _memoized_combos(
+    def _memoized_block(
         self,
         rem: tuple[int, ...],
         context: tuple | None,
-    ) -> tuple[_TemporalCombo, ...]:
+    ) -> TemporalBlock:
         """Temporal combos for ``rem``, via the shared memo when available.
 
         A shared hit replays the recorded step and capacity-prune charges
@@ -557,27 +467,25 @@ class ScheduleSearch:
         """
         memo = self.temporal_memo
         if memo is None:
-            return tuple(self._temporal_combos(rem))
+            return self._temporal_block(rem)
         entry = memo.lookup(context, rem)
         if entry is not None:
             self.steps += entry.steps
             self.pruned_by_capacity += entry.pruned
             self.shared_memo_hits += 1
-            return entry.combos
+            return entry.block
         steps0 = self.steps
         pruned0 = self.pruned_by_capacity
-        combos = tuple(self._temporal_combos(rem))
+        block = self._temporal_block(rem)
         memo.store(
-            context, rem, combos,
+            context, rem, block,
             steps=self.steps - steps0,
             pruned=self.pruned_by_capacity - pruned0,
         )
-        return combos
+        return block
 
     def _run_traced(self, tracer: Tracer) -> list[Schedule]:
-        heap: list[tuple[tuple, int, tuple, _TemporalCombo]] = []
-        counter = itertools.count()
-        temporal_memo: dict[tuple[int, ...], tuple[_TemporalCombo, ...]] = {}
+        blocks: dict[tuple[int, ...], TemporalBlock] = {}
         context = (
             self.temporal_context() if self.temporal_memo is not None else None
         )
@@ -587,43 +495,26 @@ class ScheduleSearch:
         tracer.end(self._now(), span)
 
         span = tracer.begin("evaluate", at=self._now(), track="search")
-        for spatial in spatials:
-            d1_tile, d2_tile, d3_tile = spatial
-            rem = tuple(
-                ceil_div(
-                    self._sizes[i],
-                    d1_tile[i] * d2_tile[i] * d3_tile[i],
-                )
-                for i in range(self._k)
-            )
-            combos = temporal_memo.get(rem)
-            if combos is None:
-                combos = self._memoized_combos(rem, context)
-                temporal_memo[rem] = combos
+        rems = -(-np.array(self._sizes) // spatials.prod(axis=1))
+        per_spatial = []
+        for rem in map(tuple, rems.tolist()):
+            block = blocks.get(rem)
+            if block is None:
+                block = blocks[rem] = self._memoized_block(rem, context)
             else:
                 self.temporal_memo_hits += 1
-            for combo in combos:
-                c_exe, e_wbuf, score = self._price(spatial, combo)
-                self.candidates_evaluated += 1
-                self.steps += 1
-                key = self._objective_key(c_exe, e_wbuf, score)
-                neg_key = tuple(-v for v in key)
-                entry = (neg_key, next(counter), spatial, combo)
-                if len(heap) < self.top_k:
-                    heapq.heappush(heap, entry)
-                else:
-                    heapq.heappushpop(heap, entry)
+            per_spatial.append(block)
+        winners = self._top_candidates(spatials, per_spatial)
         tracer.end(self._now(), span)
 
-        if not heap:
+        if not len(winners):
             raise ScheduleError(
                 f"no feasible schedule for layer {self.layer.name!r} on "
                 f"({self.config.d1}, {self.config.d2}, {self.config.d3})"
             )
 
         span = tracer.begin("materialize", at=self._now(), track="search")
-        results = sorted(heap, key=lambda item: tuple(-v for v in item[0]))
-        schedules = [self._materialize(spatial, combo) for _, _, spatial, combo in results]
+        schedules = [self._materialize(tiles) for tiles in winners]
         tracer.end(self._now(), span)
 
         violations = check_constraints(self.layer, self.config, schedules[0].mapping)
@@ -633,6 +524,54 @@ class ScheduleSearch:
                 f"{violations}"
             )
         return schedules
+
+    def _top_candidates(
+        self, spatials: np.ndarray, blocks: list[TemporalBlock]
+    ) -> np.ndarray:
+        """Price every spatial x temporal candidate; return the top-k.
+
+        Candidates are priced in chunks of whole spatial choices, in
+        enumeration order, and ranked by the objective key; on a tie the
+        later candidate ranks first.  Returns a ``(k, 6, K)`` array: each
+        winner's D1, D2, D3, X, L and T tiles, best first.
+        """
+        picks: list[tuple[np.ndarray, ...]] = []
+        index0 = start = rows = 0
+        for stop, block in enumerate(blocks, start=1):
+            rows += len(block)
+            if rows < _CHUNK_ROWS and stop < len(blocks):
+                continue
+            chunk = blocks[start:stop]
+            spatial = np.repeat(
+                spatials[start:stop], [len(b) for b in chunk], axis=0
+            )
+            tiles = (
+                spatial[:, 0], spatial[:, 1], spatial[:, 2],
+                *(np.concatenate([getattr(b, level) for b in chunk])
+                  for level in ("x", "l", "t")),
+            )
+            estimate = price_block(self.layer, self.config, *tiles)
+            index = np.arange(index0, index0 + rows)
+            keys = self._objective_keys(estimate) + (-index,)
+            top = np.lexsort(keys[::-1])[: self.top_k]
+            picks.append(
+                tuple(key[top] for key in keys)
+                + (np.stack([tile[top] for tile in tiles], axis=1),)
+            )
+            self.candidates_evaluated += rows
+            self.steps += rows
+            index0 += rows
+            start, rows = stop, 0
+        if not picks:
+            return np.empty((0, 6, self._k), dtype=np.int64)
+        *keys, tiles = (np.concatenate(column) for column in zip(*picks))
+        return tiles[np.lexsort(keys[::-1])[: self.top_k]]
+
+    def _objective_keys(self, estimate: BlockEstimate) -> tuple[np.ndarray, ...]:
+        """Per-row sort keys of the objective, most significant first."""
+        if self.objective == "performance":
+            return (estimate.c_exe, -estimate.e_wbuf)
+        return (-estimate.score, estimate.c_exe)
 
     def _mirror_metrics(self, snapshot: tuple[int, ...]) -> None:
         """Publish this run's counter deltas into the metrics registry."""
@@ -664,20 +603,13 @@ class ScheduleSearch:
             "loop/level pairs the adjacency matrix excludes",
         ).inc(self.adjacency_excluded_loops, objective=self.objective)
 
-    def _materialize(
-        self,
-        spatial: tuple[tuple[int, ...], ...],
-        combo: _TemporalCombo,
-    ) -> Schedule:
+    def _materialize(self, tiles: np.ndarray) -> Schedule:
         """Build the full mapping and re-price it authoritatively."""
         names = self._loop_names
         partial = {
-            "D1": dict(zip(names, spatial[0])),
-            "D2": dict(zip(names, spatial[1])),
-            "D3": dict(zip(names, spatial[2])),
-            "X": dict(zip(names, combo.x_tile)),
-            "L": dict(zip(names, combo.l_tile)),
-            "T": dict(zip(names, combo.t_tile)),
+            level: dict(zip(names, row))
+            for level, row in zip(("D1", "D2", "D3", "X", "L", "T"),
+                                  tiles.tolist())
         }
         mapping = MappingVectors.from_partial(names, partial)
         estimate = evaluate_mapping(self.layer, self.config, mapping)
@@ -688,7 +620,6 @@ class ScheduleSearch:
             estimate=estimate,
             objective=self.objective,
         )
-
 
 def schedule_layer(
     layer: AcceleratedLayer,

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
+
+import numpy as np
 
 from repro.errors import WorkloadError
 from repro.units import OPS_PER_MACC
@@ -81,16 +84,21 @@ class _AcceleratedLayer:
     def loop_dims(self) -> tuple[LoopDim, ...]:
         raise NotImplementedError
 
+    @cached_property
+    def _dims(self) -> tuple[LoopDim, ...]:
+        """:meth:`loop_dims`, built once: layers are immutable."""
+        return self.loop_dims()
+
     # ------------------------------------------------------------------ #
     @property
     def loop_sizes(self) -> dict[str, int]:
         """Trip count per loop name (the workload's ``W_k`` vector)."""
-        return {d.name: d.size for d in self.loop_dims()}
+        return {d.name: d.size for d in self._dims}
 
     @property
     def maccs(self) -> int:
         """Total multiply-accumulates (product of all trip counts)."""
-        return prod(d.size for d in self.loop_dims())
+        return prod(d.size for d in self._dims)
 
     @property
     def ops(self) -> int:
@@ -100,7 +108,7 @@ class _AcceleratedLayer:
     @property
     def weight_words(self) -> int:
         """Unique weight words (product of weight-indexing trip counts)."""
-        return prod(d.size for d in self.loop_dims() if d.in_weights)
+        return prod(d.size for d in self._dims if d.in_weights)
 
     @property
     def parameter_words(self) -> int:
@@ -118,31 +126,44 @@ class _AcceleratedLayer:
     @property
     def output_words(self) -> int:
         """Output tensor size (product of non-reduction trip counts)."""
-        return prod(d.size for d in self.loop_dims() if d.in_output)
+        return prod(d.size for d in self._dims if d.in_output)
 
     @property
     def input_words(self) -> int:
         """Input activation tensor size."""
         raise NotImplementedError
 
-    def act_footprint(self, tile: dict[str, int]) -> int:
+    def tile_columns(self, tile) -> list:
+        """Per-loop tile sizes in loop-nest order.
+
+        ``tile`` is either a dict from loop name to tile size (missing
+        names default to 1) or a *positional* tile: a length-K sequence,
+        or an int64 array whose last axis runs over the K loops.  An
+        array yields one column per loop, so every footprint below prices
+        a whole block of candidate tiles at once.
+        """
+        if isinstance(tile, dict):
+            return [tile.get(d.name, 1) for d in self._dims]
+        if isinstance(tile, np.ndarray):
+            return [tile[..., i] for i in range(tile.shape[-1])]
+        return list(tile)
+
+    def act_footprint(self, tile) -> int:
         """Input-activation words touched by one tile (``f_act`` of Eqn 8).
 
-        ``tile`` maps loop names to tile sizes; missing names default to 1.
+        ``tile`` is a dict or a positional tile (see :meth:`tile_columns`).
         """
         raise NotImplementedError
 
-    def out_footprint(self, tile: dict[str, int]) -> int:
+    def out_footprint(self, tile) -> int:
         """Output/partial-sum words produced by one tile (``f_psum``)."""
-        return prod(
-            tile.get(d.name, 1) for d in self.loop_dims() if d.in_output
-        )
+        columns = self.tile_columns(tile)
+        return prod(c for c, d in zip(columns, self._dims) if d.in_output)
 
-    def weight_footprint(self, tile: dict[str, int]) -> int:
+    def weight_footprint(self, tile) -> int:
         """Weight words required by one tile."""
-        return prod(
-            tile.get(d.name, 1) for d in self.loop_dims() if d.in_weights
-        )
+        columns = self.tile_columns(tile)
+        return prod(c for c, d in zip(columns, self._dims) if d.in_weights)
 
     # ------------------------------------------------------------------ #
     # coordinate maps (used by the cycle simulator and golden checks)
@@ -250,27 +271,25 @@ class ConvLayer(_AcceleratedLayer):
     def input_words(self) -> int:
         return self.in_channels * self.in_h * self.in_w
 
-    def act_footprint(self, tile: dict[str, int]) -> int:
+    def act_footprint(self, tile) -> int:
         """Input window for a tile: overlapping rows/columns counted once.
 
         With groups, an ``M`` tile spans input-channel groups; the
         footprint multiplies by the groups touched (contiguous tile
         assumption — exact for group-aligned tiles, tight otherwise).
         """
-        n_t = tile.get("N", 1)
-        h_t = tile.get("H", 1)
-        w_t = tile.get("W", 1)
-        r_t = tile.get("R", 1)
-        s_t = tile.get("S", 1)
+        m_t, n_t, h_t, w_t, r_t, s_t = self.tile_columns(tile)
         rows = (h_t - 1) * self.stride + r_t
         cols = (w_t - 1) * self.stride + s_t
-        groups_touched = 1
+        footprint = n_t * rows * cols
         if self.groups > 1:
-            m_t = tile.get("M", 1)
-            groups_touched = min(
-                self.groups, -(-m_t // self.group_out_channels)
+            touched = -(-m_t // self.group_out_channels)
+            footprint = footprint * (
+                np.minimum(touched, self.groups)
+                if isinstance(touched, np.ndarray)
+                else min(touched, self.groups)
             )
-        return groups_touched * n_t * rows * cols
+        return footprint
 
     def weight_coord(self, idx: dict[str, int]) -> tuple[int, ...]:
         return (idx["M"], idx["N"], idx["R"], idx["S"])
@@ -341,8 +360,9 @@ class MatMulLayer(_AcceleratedLayer):
     def input_words(self) -> int:
         return self.in_features * self.batch
 
-    def act_footprint(self, tile: dict[str, int]) -> int:
-        return tile.get("M", 1) * tile.get("P", 1)
+    def act_footprint(self, tile) -> int:
+        m_t, _, p_t = self.tile_columns(tile)
+        return m_t * p_t
 
     def weight_coord(self, idx: dict[str, int]) -> tuple[int, ...]:
         return (idx["N"], idx["M"])

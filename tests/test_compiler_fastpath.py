@@ -24,6 +24,7 @@ from repro.compiler import (
     schedule_network,
 )
 from repro.compiler.cache import ScheduleCache
+from repro.compiler.memo import TemporalBlock
 from repro.compiler.parallel import _fan_out, default_workers
 from repro.compiler.persist import PersistentScheduleStore, store_key
 from repro.errors import ScheduleError
@@ -83,22 +84,30 @@ class TestCeilTileMemo:
 
 class TestTemporalMemo:
     def test_counter_replay_is_invariant(self):
-        """Shared-memo searches report the same counters as bare ones."""
-        config = OverlayConfig(3, 2, 2)
-        memo = TemporalMemo()
-        for layer in LAYERS:
-            bare = ScheduleSearch(layer, config, top_k=1)
-            bare_best = bare.run()[0]
-            for round_no in range(2):  # cold then warm
-                shared = ScheduleSearch(layer, config, top_k=1,
-                                        temporal_memo=memo)
-                best = shared.run()[0]
-                assert best.mapping == bare_best.mapping
-                assert best.estimate == bare_best.estimate
-                assert shared.steps == bare.steps, (layer.name, round_no)
-                assert shared.pruned_by_capacity == bare.pruned_by_capacity
-                assert shared.candidates_evaluated == \
-                    bare.candidates_evaluated
+        """Shared-memo searches report the same counters as bare ones,
+        on every config and under both objectives."""
+        for config in CONFIGS:
+            for objective in ("performance", "balance"):
+                memo = TemporalMemo()
+                for layer in LAYERS:
+                    self._check_replay(layer, config, objective, memo)
+                assert memo.hits > 0
+
+    @staticmethod
+    def _check_replay(layer, config, objective, memo):
+        bare = ScheduleSearch(layer, config, objective=objective)
+        bare_best = bare.run()[0]
+        for round_no in range(2):  # cold then warm
+            shared = ScheduleSearch(layer, config, objective=objective,
+                                    temporal_memo=memo)
+            best = shared.run()[0]
+            assert best.mapping == bare_best.mapping
+            assert best.estimate == bare_best.estimate
+            context = (layer.name, config.grid, objective, round_no)
+            assert shared.steps == bare.steps, context
+            assert shared.pruned_by_capacity == bare.pruned_by_capacity, context
+            assert shared.candidates_evaluated == \
+                bare.candidates_evaluated, context
 
     def test_warm_memo_hits(self):
         config = OverlayConfig(3, 2, 2)
@@ -124,12 +133,19 @@ class TestTemporalMemo:
     def test_eviction_bound(self):
         memo = TemporalMemo(max_entries=2)
         for i in range(5):
-            memo.store(("ctx",), (i,), combos=(), steps=1, pruned=0)
+            tiles = np.full((i + 1, 3), i, dtype=np.int64)
+            block = TemporalBlock(t=tiles, l=tiles.copy(), x=tiles.copy())
+            memo.store(("ctx",), (i,), block, steps=len(block), pruned=i)
         assert len(memo) == 2
         assert memo.evictions == 3
+        assert memo.lookup(("ctx",), (0,)) is None
+        entry = memo.lookup(("ctx",), (4,))
+        assert (len(entry.block), entry.steps, entry.pruned) == (5, 5, 4)
+        # Entries are shared across searches, so their arrays are frozen.
+        with pytest.raises(ValueError):
+            entry.block.t[0, 0] = 0
         with pytest.raises(ScheduleError):
             TemporalMemo(max_entries=0)
-
 
 class TestPersistentStore:
     def test_round_trip_is_identical(self, tmp_path):
