@@ -18,10 +18,12 @@ bit-identical by construction (and by test sweep):
 * ``"reference"`` — visits every MACC in Python, routing each through
   the TPE/SuperBlock datapath objects.  Slow, but it exercises the
   buffer addressing and cascade structure directly.
-* ``"vectorized"`` (default) — enumerates the same hardware-iteration
-  lattice as flat NumPy index arrays, gathers operands in bulk, and
-  scatter-accumulates into int64.  48-bit wrapping commutes with exact
-  mod-2^64 accumulation (2^48 divides 2^64), so one final ``wrap48``
+* ``"vectorized"`` (default) — walks the same hardware-iteration
+  lattice in NumPy batches.  Every address a MACC reads is linear in the
+  workload indices, which sum one term per (level, loop) digit (Eqn 1),
+  so lane addresses are outer sums of small per-digit offset rows and no
+  lane decomposes a flat index.  Products scatter-add into int64, exact
+  mod 2^64 in any order; 2^48 divides 2^64, so one final ``wrap48``
   reproduces the cascade's per-step wrapping exactly.
 """
 
@@ -81,8 +83,27 @@ class LayerRun:
 #: Functional-engine names accepted by :class:`CycleSimulator`.
 FUNCTIONAL_ENGINES = ("vectorized", "reference")
 
-#: Lanes materialized per vectorized chunk (bounds peak index memory).
-_VEC_CHUNK = 1 << 19
+#: Lanes per vectorized batch, and the cap on a prebuilt lattice block
+#: (bounds peak index memory).
+_VEC_CHUNK = 1 << 16
+
+
+def _outer_sums(blocks: list[np.ndarray], limit: int):
+    """Yield the flattened outer sum of ``blocks`` in lane order.
+
+    ``blocks`` are ``(rows, lanes)`` offset arrays, least significant
+    first; each batch holds at most ``limit`` consecutive lanes.  A block
+    wider than ``limit`` is sliced under one prefix at a time.
+    """
+    inner, *outer = blocks
+    size = inner.shape[1]
+    prefixes = _outer_sums(outer, max(1, limit // size)) if outer else [0]
+    for prefix in prefixes:
+        if size > limit or not outer:
+            for lo in range(0, size, limit):
+                yield prefix + inner[:, lo:lo + limit]
+        else:
+            yield (prefix[..., None] + inner[:, None]).reshape(len(inner), -1)
 
 
 class CycleSimulator:
@@ -256,147 +277,126 @@ class CycleSimulator:
         return output, useful, issued
 
     def _functional_vectorized(
-        self,
-        compiled: CompiledLayer,
-        weights: np.ndarray,
-        acts: np.ndarray,
+        self, compiled: CompiledLayer, weights: np.ndarray, acts: np.ndarray
     ) -> tuple[np.ndarray, int, int]:
-        """Enumerate the hardware-iteration lattice as NumPy arrays.
+        """Enumerate the hardware-iteration lattice as outer sums.
 
-        The lattice is the same ``(d3, d2, d1, x, l, t)`` space the
-        reference engine walks: flat lane numbers decompose into
-        per-level indices, per-level mixed-radix tables give each loop's
-        sub-index, and place values recombine them into workload indices
-        (Eqn 1).  Valid lanes gather operands and scatter-add into an
-        int64 accumulator; a single final ``wrap48`` matches the
-        cascade's stepwise wrapping because both compute the same value
-        mod 2^48.
+        Each (level, loop) digit of the ``(d3, d2, d1, x, l, t)`` lattice
+        contributes one offset row per address; the innermost digits are
+        summed into a block once, and outer prefixes are added to it in
+        batches of at most ``_VEC_CHUNK`` lanes.
 
         Returns (output, useful_maccs, issued_maccs).
         """
         layer: AcceleratedLayer = compiled.schedule.layer
         mapping = compiled.schedule.mapping
-        weights = to_int16(weights)
-        acts = to_int16(acts)
-        names = mapping.loop_names
-        k = len(names)
-        sizes = np.array(
-            [layer.loop_sizes[n] for n in names], dtype=np.int64
-        )
+        names, sizes = mapping.loop_names, layer.loop_sizes
+        terms, const, activation = self._address_rows(layer)
+        # Validity rows: the loops whose padded extent exceeds their size.
+        padded = [n for n in names if mapping.loop_product(n) > sizes[n]]
+        n_addr = len(terms)
+        terms = terms + [{n: 1} for n in padded]
+        bounds = np.array([[sizes[n]] for n in padded])
+        coef = np.array([[t.get(n, 0) for n in names] for t in terms])
+        n_rows = len(terms)
 
-        level_sizes = [mapping.level_product(level) for level in HW_LEVELS]
-        total = prod(level_sizes)
+        # Digits from the least significant (T level, last loop) outwards,
+        # merged into blocks of at most one chunk; the constant offsets
+        # ride on the innermost block.
+        blocks = []
+        block = np.array(const + [0] * len(padded), dtype=np.int64)[:, None]
+        place = [1] * len(names)
+        for level in reversed(HW_LEVELS):
+            for j in reversed(range(len(names))):
+                trip = mapping.trips[level][names[j]]
+                if trip == 1:
+                    continue
+                if block.shape[1] > 1 and block.shape[1] * trip > _VEC_CHUNK:
+                    blocks.append(block)
+                    block = np.zeros((n_rows, 1), dtype=np.int64)
+                digit = np.outer(coef[:, j] * place[j], np.arange(trip))
+                block = (digit[..., None] + block[:, None]).reshape(n_rows, -1)
+                place[j] *= trip
+        blocks.append(block)
 
-        # tables[li][j, i]: loop j's sub-index at flat index i of level
-        # li (mixed radix over the level's trips, last loop least
-        # significant — decompose_level_index in array form).
-        tables = []
-        for level, n_level in zip(HW_LEVELS, level_sizes):
-            flat = np.arange(n_level, dtype=np.int64)
-            table = np.empty((k, n_level), dtype=np.int64)
-            div = 1
-            for j in range(k - 1, -1, -1):
-                radix = mapping.trips[level][names[j]]
-                table[j] = (flat // div) % radix
-                div *= radix
-            tables.append(table)
-
-        # place[li, j]: weight of level li's sub-index in loop j's
-        # combined workload index — the product of all inner levels'
-        # trips (outer levels most significant).
-        n_levels = len(HW_LEVELS)
-        place = np.ones((n_levels, k), dtype=np.int64)
-        for li in range(n_levels - 2, -1, -1):
-            inner_trips = np.array(
-                [mapping.trips[HW_LEVELS[li + 1]][n] for n in names],
-                dtype=np.int64,
-            )
-            place[li] = place[li + 1] * inner_trips
-
-        # level_div[li]: divisor extracting level li's index from a flat
-        # lane number (T varies fastest).
-        level_div = np.ones(n_levels, dtype=np.int64)
-        for li in range(n_levels - 2, -1, -1):
-            level_div[li] = level_div[li + 1] * level_sizes[li + 1]
-
+        # Invalid lanes add zero, into an accumulator that covers every
+        # output index the padded lattice forms; it is cut back at the end.
         out_shape = layer.out_shape()
-        acc = np.zeros(prod(out_shape), dtype=np.int64)
-        w_flat = weights.reshape(-1)
-        a_flat = acts.reshape(-1)
+        out_size = prod(out_shape)
+        span = sum(int(b[1].max()) for b in blocks) + 1
+        acc = np.zeros(max(out_size, span), dtype=np.int64)
+        w_flat = to_int16(weights).reshape(-1)
+        a_flat = to_int16(acts).reshape(-1)
         useful = 0
+        for rows in _outer_sums(blocks, _VEC_CHUNK):
+            a_index, live = activation(rows)
+            if padded:
+                valid = np.all(rows[n_addr:] < bounds, axis=0)
+                useful += int(np.count_nonzero(valid))
+                live = valid if live is None else live & valid
+            else:
+                useful += rows.shape[1]
+            a_lane = a_flat.take(a_index, mode="clip")
+            if live is not None:
+                a_lane = np.where(live, a_lane, 0)
+            w_lane = w_flat.take(rows[0], mode="clip").astype(np.int64)
+            np.add.at(acc, rows[1], w_lane * a_lane)
 
-        for lo in range(0, total, _VEC_CHUNK):
-            lanes = np.arange(lo, min(lo + _VEC_CHUNK, total), dtype=np.int64)
-            idx = np.zeros((k, lanes.size), dtype=np.int64)
-            for li in range(n_levels):
-                level_idx = (lanes // level_div[li]) % level_sizes[li]
-                idx += tables[li][:, level_idx] * place[li][:, None]
-            valid = np.all(idx < sizes[:, None], axis=0)
-            n_valid = int(np.count_nonzero(valid))
-            if not n_valid:
-                continue
-            useful += n_valid
-            idx = idx[:, valid]
-            w_lane, a_lane, out_lane = self._gather_lanes(
-                layer, names, idx, w_flat, a_flat
-            )
-            np.add.at(acc, out_lane, w_lane * a_lane)
-
-        output = wrap48(acc).reshape(out_shape)
+        total = prod(mapping.level_product(level) for level in HW_LEVELS)
+        output = wrap48(acc[:out_size]).reshape(out_shape)
         return output, useful, int(total)
 
     @staticmethod
-    def _gather_lanes(
-        layer: AcceleratedLayer,
-        names: tuple[str, ...],
-        idx: np.ndarray,
-        w_flat: np.ndarray,
-        a_flat: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Operand and output gathers for one chunk of valid lanes.
+    def _address_rows(layer: AcceleratedLayer):
+        """Linear address rows of ``layer`` and its activation gather.
 
-        Array form of ``weight_coord`` / ``act_coord`` / ``out_coord``;
-        out-of-range activation coordinates (zero padding) read as zero,
-        exactly like ``act_in_range`` gating in the reference engine.
+        Row ``a`` is ``const[a]`` plus ``coef * index[loop]`` over
+        ``terms[a]``'s ``{loop: coef}``; rows 0-2 are the flat weight,
+        output and activation indices.  ``activation(rows)`` also masks
+        lanes outside the unpadded input (``None`` when none are): zero
+        padding reads as zero, as ``act_in_range`` gates the reference.
         """
-        pos = {name: j for j, name in enumerate(names)}
-        if isinstance(layer, ConvLayer):
-            m = idx[pos["M"]]
-            n = idx[pos["N"]]
-            h = idx[pos["H"]]
-            w = idx[pos["W"]]
-            r = idx[pos["R"]]
-            s = idx[pos["S"]]
-            gin = layer.group_in_channels
-            w_lane = w_flat[
-                ((m * gin + n) * layer.kernel_h + r) * layer.kernel_w + s
-            ].astype(np.int64)
-            if layer.groups > 1:
-                channel = (m // layer.group_out_channels) * gin + n
-            else:
-                channel = n
-            ih = h * layer.stride + r - layer.padding
-            iw = w * layer.stride + s - layer.padding
-            in_range = (
-                (ih >= 0) & (ih < layer.in_h) & (iw >= 0) & (iw < layer.in_w)
-            )
-            a_index = (
-                channel * layer.in_h + np.clip(ih, 0, layer.in_h - 1)
-            ) * layer.in_w + np.clip(iw, 0, layer.in_w - 1)
-            a_lane = np.where(in_range, a_flat[a_index].astype(np.int64), 0)
-            out_lane = (m * layer.out_h + h) * layer.out_w + w
-            return w_lane, a_lane, out_lane
         if isinstance(layer, MatMulLayer):
-            m = idx[pos["M"]]
-            n = idx[pos["N"]]
-            p = idx[pos["P"]]
-            w_lane = w_flat[n * layer.in_features + m].astype(np.int64)
-            a_lane = a_flat[m * layer.batch + p].astype(np.int64)
-            out_lane = n * layer.batch + p
-            return w_lane, a_lane, out_lane
-        raise SimulationError(
-            f"no vectorized gather for layer kind {layer.kind}"
-        )
+            terms = [{"N": layer.in_features, "M": 1},
+                     {"N": layer.batch, "P": 1}, {"M": layer.batch, "P": 1}]
+            return terms, [0, 0, 0], lambda rows: (rows[2], None)
+        if not isinstance(layer, ConvLayer):
+            raise SimulationError(
+                f"no vectorized gather for layer kind {layer.kind}"
+            )
+        kh, kw, stride = layer.kernel_h, layer.kernel_w, layer.stride
+        in_h, in_w, pad = layer.in_h, layer.in_w, layer.padding
+        gin = layer.group_in_channels
+        terms = [
+            {"M": gin * kh * kw, "N": kh * kw, "R": kw, "S": 1},
+            {"M": layer.out_h * layer.out_w, "H": layer.out_w, "W": 1},
+            {"N": in_h * in_w, "H": stride * in_w, "R": in_w,
+             "W": stride, "S": 1},
+        ]
+        const = [0, 0, -pad * (in_w + 1)]
+        if pad:  # rows 3 and 4: input row and column
+            terms += [{"H": stride, "R": 1}, {"W": stride, "S": 1}]
+            const += [-pad, -pad]
+        m_row = len(terms)
+        if layer.groups > 1:  # the output channel picks the input group
+            terms.append({"M": 1})
+            const.append(0)
+            group = np.arange(layer.out_channels) // layer.group_out_channels
+            group_base = group * (gin * in_h * in_w)
+
+        def activation(rows):
+            a_index = rows[2]
+            if layer.groups > 1:
+                a_index = a_index + group_base.take(rows[m_row], mode="clip")
+            if not pad:  # valid lanes never leave an unpadded input
+                return a_index, None
+            # Unsigned views fold each ``>= 0`` test into its ``<`` bound.
+            return a_index, (
+                (rows[3].view(np.uint64) < in_h)
+                & (rows[4].view(np.uint64) < in_w)
+            )
+
+        return terms, const, activation
 
     # ------------------------------------------------------------------ #
     # timing

@@ -8,13 +8,17 @@ strides, grouped channels, and 48-bit accumulator wrap.
 
 from __future__ import annotations
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.compiler import compile_schedule, schedule_layer
 from repro.errors import SimulationError
 from repro.fixedpoint import _ACC_HALF, _ACC_MOD, wrap48
-from repro.overlay.config import OverlayConfig
+from repro.overlay.config import PAPER_EXAMPLE_CONFIG, OverlayConfig
+from repro.sim import cycle
 from repro.sim.cycle import FUNCTIONAL_ENGINES, CycleSimulator
 from repro.sim.functional import (
     conv2d_int16,
@@ -22,6 +26,7 @@ from repro.sim.functional import (
     random_layer_operands,
 )
 from repro.workloads.layers import ConvLayer, MatMulLayer
+from repro.workloads.registry import build_workload
 
 CONFIGS = [OverlayConfig(3, 2, 2), OverlayConfig(4, 2, 3)]
 
@@ -50,8 +55,7 @@ LAYERS = [
                          ids=lambda c: f"{c.d1}x{c.d2}x{c.d3}")
 def test_engines_bit_identical(layer, config):
     compiled = compile_schedule(schedule_layer(layer, config))
-    rng = np.random.default_rng(hash(layer.name) % 2**32)
-    weights, acts = random_layer_operands(layer, rng)
+    weights, acts = _operands(layer)
     ref = CycleSimulator(config, functional_engine="reference")
     vec = CycleSimulator(config)  # vectorized is the default
     out_r, useful_r, issued_r = ref._functional(compiled, weights, acts)
@@ -60,6 +64,89 @@ def test_engines_bit_identical(layer, config):
     assert (useful_r, issued_r) == (useful_v, issued_v)
     assert useful_v == layer.maccs
     assert np.array_equal(out_v, golden_layer_output(layer, weights, acts))
+
+
+@pytest.mark.parametrize("layer", LAYERS, ids=lambda l: l.name)
+@pytest.mark.parametrize("config", CONFIGS,
+                         ids=lambda c: f"{c.d1}x{c.d2}x{c.d3}")
+def test_chunk_boundaries_bit_identical(layer, config, monkeypatch):
+    """Tiny batches split the lattice's blocks unevenly and leave partial
+    outer batches; every split must still match the reference."""
+    compiled = compile_schedule(schedule_layer(layer, config))
+    weights, acts = _operands(layer)
+    out_r, useful_r, issued_r = CycleSimulator(
+        config, functional_engine="reference"
+    )._functional(compiled, weights, acts)
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(cycle, "_VEC_CHUNK", chunk)
+        out_v, useful_v, issued_v = CycleSimulator(config)._functional(
+            compiled, weights, acts
+        )
+        assert np.array_equal(out_r, out_v), chunk
+        assert (useful_r, issued_r) == (useful_v, issued_v), chunk
+
+
+def test_lattice_spanning_many_batches_matches_golden():
+    config = OverlayConfig(4, 2, 3)
+    layer = ConvLayer("wide", in_channels=15, out_channels=13, in_h=33,
+                      in_w=35, kernel_h=3, kernel_w=3, stride=1, padding=1)
+    compiled = compile_schedule(schedule_layer(layer, config))
+    weights, acts = _operands(layer)
+    out, useful, issued = CycleSimulator(config)._functional(
+        compiled, weights, acts
+    )
+    assert issued > max(4 * cycle._VEC_CHUNK, layer.maccs)  # padded loops
+    assert useful == layer.maccs
+    assert np.array_equal(out, golden_layer_output(layer, weights, acts))
+
+
+def test_grouped_padded_conv_wraps_past_2_47():
+    """Sign-matched extreme operands push every output past 2^47: the
+    48-bit wrap must land identically in both engines."""
+    config = OverlayConfig(3, 2, 2)
+    layer = ConvLayer("wrap", in_channels=4, out_channels=2, in_h=257,
+                      in_w=257, kernel_h=259, kernel_w=259, stride=1,
+                      padding=1, groups=2)
+    rng = np.random.default_rng(13)
+    weights = rng.choice(np.array([-32768, 32767], dtype=np.int16),
+                         size=(2, 2, 259, 259))
+    # Output (m, 0, 0) reads input (m * 2 + n, y, x) through weight
+    # (m, n, y + 1, x + 1): match its sign so every product is >= 32767^2.
+    acts = weights[:, :, 1:-1, 1:-1].reshape(4, 257, 257).copy()
+    exact = np.einsum("mnyx,mnyx->m",
+                      weights[:, :, 1:-1, 1:-1].astype(np.int64),
+                      acts.reshape(2, 2, 257, 257).astype(np.int64))
+    assert np.all(exact >= _ACC_HALF)
+    compiled = compile_schedule(schedule_layer(layer, config))
+    out_r, useful_r, issued_r = CycleSimulator(
+        config, functional_engine="reference"
+    )._functional(compiled, weights, acts)
+    out_v, useful_v, issued_v = CycleSimulator(config)._functional(
+        compiled, weights, acts
+    )
+    assert np.array_equal(out_r, out_v)
+    assert (useful_r, issued_r) == (useful_v, issued_v)
+    assert np.array_equal(out_v.reshape(-1), wrap48(exact))
+    assert np.array_equal(out_v, golden_layer_output(layer, weights, acts))
+
+
+def test_functional_peak_memory_stays_small():
+    """seqCNN's widest conv on the paper grid: the traced peak of one
+    functional run stays far below a full-lattice index matrix."""
+    network = build_workload("Sentimental-seqCNN")
+    layer = next(l for l in network.accelerated_layers()
+                 if l.name == "block0.conv")
+    compiled = compile_schedule(schedule_layer(layer, PAPER_EXAMPLE_CONFIG))
+    weights, acts = random_layer_operands(layer, np.random.default_rng(1))
+    sim = CycleSimulator(PAPER_EXAMPLE_CONFIG)
+    tracemalloc.start()
+    try:
+        _, useful, _ = sim._functional(compiled, weights, acts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert useful == layer.maccs
+    assert peak < 24 * 2**20
 
 
 def test_run_layer_matches_between_engines():
@@ -147,6 +234,12 @@ class TestVectorizedGoldenConv:
                                groups=groups)
             expect = _direct_conv(weights, acts, stride, padding, groups)
             assert np.array_equal(got, expect), (stride, padding, groups)
+
+
+def _operands(layer):
+    """Operands seeded from the layer name, stable across interpreters."""
+    rng = np.random.default_rng(zlib.crc32(layer.name.encode()))
+    return random_layer_operands(layer, rng)
 
 
 def _direct_conv(weights, acts, stride, padding, groups):
