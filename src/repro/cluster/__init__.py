@@ -3,9 +3,10 @@
 Racks of overlay boards behind a self-healing router: correlated
 failure-domain faults, hedged deadline-aware retries, metrics-driven
 autoscaling with real cold-start costs, and tenant-aware fair-share
-admission — all on the same deterministic virtual clock as the
-single-board :class:`~repro.serving.engine.ServingEngine`, which a
-degenerate cluster configuration reproduces bit for bit.
+admission.  :mod:`repro.cluster.loop` holds the one serving event loop;
+:class:`ClusterEngine` runs it over a fleet and
+:class:`~repro.serving.engine.ServingEngine` over one rack with one
+tenant.
 """
 
 from repro.cluster.autoscale import AutoscalePolicy, Autoscaler

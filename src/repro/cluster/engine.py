@@ -1,13 +1,16 @@
-"""Fleet-scale event loop: failure domains, self-healing, autoscaling.
+"""Fleet-scale serving: failure domains, self-healing, autoscaling.
 
-:class:`ClusterEngine` is the fleet analogue of
-:class:`~repro.serving.engine.ServingEngine` — the same discrete-event
-loop over the same virtual clock, with four additions:
+:class:`ClusterEngine` runs the serving event loop
+(:func:`repro.cluster.loop.run_serving_loop`) over a rack/board fleet.
+It is the same loop :class:`~repro.serving.engine.ServingEngine` runs
+over one rack, with every fleet feature switched on by the engine's
+own arguments:
 
 * **Failure domains** — the fault schedule may carry the correlated
   domain events of :mod:`repro.cluster.events` (rack power loss,
   network partition, correlated DRAM) alongside the per-board taxonomy;
-  each fans out deterministically to the rack's member boards.
+  each fans out deterministically to the rack's member boards, and the
+  health monitor rolls outages up per rack.
 * **Self-healing routing** — the :class:`~repro.cluster.router.
   ClusterRouter` drains a board the instant any gate closes and
   re-admits it when the gate reopens; retried requests are *hedged*
@@ -15,77 +18,30 @@ loop over the same virtual clock, with four additions:
   free.
 * **Autoscaling** — an optional :class:`~repro.cluster.autoscale.
   Autoscaler` ticks on the virtual clock, reading the fleet gauges the
-  engine publishes into a :class:`MetricsRegistry`; activated boards
+  loop publishes into a :class:`MetricsRegistry`; activated boards
   pay the compiled-schedule weight-reload cold start before serving.
 * **Tenancy** — arrivals carry a tenant; admission enforces per-tenant
   quotas on top of the global bound and batch formation is fair-share
   (stride) scheduled.  Accounting is conserved *per tenant*:
   ``offered == completed + rejected + dropped`` under any fault mix.
-
-The loop body mirrors :class:`ServingEngine` statement for statement
-wherever the two overlap, and every extension is gated on its feature
-being exercised — so a degenerate cluster (one tenant, no autoscaler,
-hedging off, board names matching the replica names, no domain events)
-reproduces the single-engine run **bit for bit**, integrity policies
-and all.  That equivalence is what lets the existing chaos and
-integrity layers compose with the fleet unchanged, and it is enforced
-by tests.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
-from collections import deque
 from typing import Sequence
 
-from repro.cluster.autoscale import (
-    GAUGE_ACTIVE,
-    GAUGE_P99_S,
-    GAUGE_QUEUE_DEPTH,
-    GAUGE_ROUTABLE,
-    GAUGE_UTILIZATION,
-    AutoscalePolicy,
-    Autoscaler,
-)
-from repro.cluster.events import (
-    CorrelatedDramFault,
-    NetworkHeal,
-    NetworkPartition,
-    RackPowerLoss,
-    RackPowerRestore,
-)
-from repro.cluster.report import ClusterReport, TenantStats
-from repro.cluster.router import BoardState, ClusterRouter
+from repro.cluster.autoscale import AutoscalePolicy
+from repro.cluster.loop import run_serving_loop
+from repro.cluster.report import ClusterReport
 from repro.cluster.service import FleetPipelineService, FleetService
-from repro.cluster.tenancy import TenantPolicy, TenantQueueSet
+from repro.cluster.tenancy import TenantPolicy
 from repro.cluster.topology import FleetTopology
-from repro.errors import FaultError, ScheduleError, ServingError
-from repro.faults.events import (
-    DramBitFlip,
-    FaultEvent,
-    LinkFault,
-    ReplicaCrash,
-    ReplicaRecovery,
-    ReplicaSlowdown,
-    TPEFault,
-)
-from repro.faults.monitor import HealthMonitor
+from repro.errors import ServingError
 from repro.faults.schedule import FaultSchedule
 from repro.integrity.policy import IntegrityPolicy
-from repro.serving.admission import AdmissionController, AdmissionPolicy
+from repro.serving.admission import AdmissionPolicy
 from repro.serving.batcher import BatchPolicy
-from repro.serving.engine import (
-    DROP_DEADLINE,
-    DROP_NO_REPLICA,
-    DROP_RETRY_EXHAUSTED,
-    DROP_SDC,
-    trace_retired_batch,
-)
-from repro.serving.metrics import ServingReport, percentile
 from repro.serving.request import InferenceRequest, RetryPolicy
-from repro.serving.scheduler import Dispatch
 from repro.trace.metrics import MetricsRegistry, as_metrics
 from repro.trace.span import Tracer, as_tracer
 
@@ -106,8 +62,8 @@ class ClusterEngine:
             :mod:`repro.cluster.events`; merge independent schedules
             with :meth:`FaultSchedule.merge`.
         retry_policy: Backoff/attempt budget for fault retries.
-        integrity_policy: ABFT handling of silent corruption; semantics
-            identical to the single engine's.
+        integrity_policy: ABFT handling of silent corruption, as for
+            :class:`~repro.serving.engine.ServingEngine`.
         tenant_policy: Fair-share weights and per-tenant quotas.
         autoscale_policy: Enables the gauge-driven autoscaler; ``None``
             serves from the full fleet throughout.
@@ -163,580 +119,19 @@ class ClusterEngine:
 
     def run(self, requests: Sequence[InferenceRequest]) -> ClusterReport:
         """Serve ``requests`` (sorted by arrival) to completion."""
-        if not requests:
-            raise ServingError("no requests to serve")
-        if any(b.arrival_s < a.arrival_s
-               for a, b in zip(requests, requests[1:])):
-            raise ServingError("requests are not sorted by arrival time")
-        model = requests[0].model
-
-        queue = TenantQueueSet(self.batch_policy, self.tenant_policy)
-        admission = AdmissionController(self.admission_policy)
-        router = ClusterRouter(self.topology)
-        tracer = self.tracer
-        metrics = self.metrics
-        faults: tuple[FaultEvent, ...] = (
-            self.fault_schedule.events if self.fault_schedule else ()
-        )
-        monitor = HealthMonitor(
-            list(self.topology.board_names), tracer=tracer,
+        report = run_serving_loop(
+            self, requests,
+            topology=self.topology,
             domains=self.topology.domains(),
-        ) if faults else None
-
-        scaler = Autoscaler(self.autoscale_policy, self.cold_start_s) \
-            if self.autoscale_policy is not None else None
-        # The autoscaler reads real gauge values back, so it needs a
-        # live registry even when the caller didn't ask for metrics.
-        gauges = metrics if metrics.enabled else MetricsRegistry()
-
-        now = requests[0].arrival_s
-        arrival_idx = 0
-        fault_idx = 0
-        seq = 0
-        retry_seq = itertools.count()
-        inflight: list[tuple[float, int, Dispatch]] = []
-        retryq: list[tuple[float, int, InferenceRequest]] = []
-        aborted: set[int] = set()
-        inflight_seqs: dict[int, Dispatch] = {}
-        completed: list[InferenceRequest] = []
-        dropped: list[InferenceRequest] = []
-        fault_counts: dict[str, int] = {}
-        policy = self.integrity_policy
-        corrupt: dict[int, str] = {}  # in-flight seq -> corruption cause
-        integrity_counts: dict[str, int] = {}
-        n_retries = 0
-        masked: dict[str, set] = {}  # board -> stuck TPE coords
-        depth_integral = 0.0
-        depth_max = 0
-        t_start = requests[0].arrival_s
-        t_last_complete = t_start
-
-        # Fleet-specific state.
-        t_offered: dict[str, int] = {}
-        t_completed: dict[str, int] = {}
-        t_rejected: dict[str, int] = {}
-        t_quota: dict[str, int] = {}
-        t_dropped: dict[str, int] = {}
-        last_failed: dict[int, str] = {}  # request_id -> failed board
-        hedged_dispatches = 0
-        drains = 0
-        readmits = 0
-        cold_starts = 0
-        p99_window: deque[tuple[float, float]] = deque()
-        last_busy_total = 0.0
-        tick_interval = (
-            self.autoscale_policy.interval_s
-            if self.autoscale_policy is not None else math.inf
+            tenant_policy=self.tenant_policy,
+            autoscale_policy=self.autoscale_policy,
+            hedge_retries=self.hedge_retries,
+            cold_start_s=self.cold_start_s,
         )
-        next_tick_s = t_start + tick_interval
-
-        def drop(request: InferenceRequest, reason: str,
-                 at_s: float) -> None:
-            request.drop_reason = reason
-            dropped.append(request)
-            t_dropped[request.tenant] = t_dropped.get(request.tenant, 0) + 1
-            metrics.counter(
-                "serving_requests_dropped", "requests dropped, by reason"
-            ).inc(reason=reason)
-            tracer.add_span(
-                "request", request.arrival_s, max(at_s, request.arrival_s),
-                track="requests", id=request.request_id, status="dropped",
-                reason=reason, attempts=request.attempts,
-            )
-
-        def retry_or_drop(request: InferenceRequest, at_s: float) -> None:
-            """Requeue a fault-struck request, or drop it."""
-            nonlocal n_retries
-            if request.attempts >= self.retry_policy.max_attempts:
-                drop(request, DROP_RETRY_EXHAUSTED, at_s)
-                return
-            retry_at = at_s + self.retry_policy.backoff_s(request.attempts)
-            if retry_at >= request.deadline_at_s:
-                drop(request, DROP_DEADLINE, at_s)
-                return
-            n_retries += 1
-            metrics.counter(
-                "serving_retries", "fault-driven retry dispatches"
-            ).inc()
-            tracer.instant(
-                "failover.retry", at=at_s, track="engine",
-                id=request.request_id, retry_at_s=retry_at,
-            )
-            heapq.heappush(retryq, (retry_at, next(retry_seq), request))
-
-        def abort_inflight(board_name: str, at_s: float) -> None:
-            """Poison every batch in flight on ``board_name``."""
-            for seq_id, dispatch in list(inflight_seqs.items()):
-                if dispatch.replica != board_name or seq_id in aborted:
-                    continue
-                aborted.add(seq_id)
-                del inflight_seqs[seq_id]
-                corrupt.pop(seq_id, None)
-                router.by_name(board_name).aborted_batches += 1
-                for request in dispatch.batch.requests:
-                    last_failed[request.request_id] = board_name
-                    retry_or_drop(request, at_s)
-
-        def mark_corrupt(board_name: str, cause: str) -> None:
-            """Silently corrupt the batches in flight on ``board_name``."""
-            for seq_id, dispatch in inflight_seqs.items():
-                if dispatch.replica != board_name:
-                    continue
-                corrupt[seq_id] = (
-                    cause if seq_id not in corrupt else "multiple"
-                )
-
-        def drain_board(board: BoardState, at_s: float, cause: str) -> None:
-            """A gate closed: abort in-flight work, account the outage."""
-            nonlocal drains
-            assert monitor is not None
-            drains += 1
-            abort_inflight(board.name, at_s)
-            monitor.record_crash(board.name, at_s)
-            tracer.instant(
-                "cluster.drain", at=at_s, track=board.name, cause=cause,
-            )
-            metrics.counter(
-                "cluster_drains", "board drain transitions, by cause"
-            ).inc(cause=cause)
-
-        def readmit_board(board: BoardState, at_s: float,
-                          cause: str) -> None:
-            """A gate reopened: re-admit if the board is fully up."""
-            nonlocal readmits
-            assert monitor is not None
-            readmits += 1
-            if board.up:
-                monitor.record_recovery(board.name, at_s)
-            tracer.instant(
-                "cluster.readmit", at=at_s, track=board.name, cause=cause,
-                warm_at_s=board.warm_at_s,
-            )
-            metrics.counter(
-                "cluster_readmits", "board re-admissions, by cause"
-            ).inc(cause=cause)
-
-        def apply_board_dram(event: DramBitFlip) -> None:
-            assert monitor is not None
-            if not event.correctable:
-                monitor.record_dram_uncorrectable(event.replica, event.at_s)
-                if policy.detects:
-                    mark_corrupt(event.replica, "dram_uncorrectable")
-                else:
-                    abort_inflight(event.replica, event.at_s)
-
-        def apply_fault(event: FaultEvent) -> None:
-            nonlocal cold_starts
-            assert monitor is not None
-            fault_counts[event.kind] = fault_counts.get(event.kind, 0) + 1
-            metrics.counter(
-                "faults_injected", "fault events applied, by kind"
-            ).inc(kind=event.kind)
-            tracer.instant(
-                f"fault.{event.kind}", at=event.at_s, track=event.replica,
-            )
-            if isinstance(event, RackPowerLoss):
-                for board in router.rack_boards(event.domain):
-                    if board.powered:
-                        drain_board(board, event.at_s, event.kind)
-                router.power_down_rack(event.domain, event.at_s)
-            elif isinstance(event, RackPowerRestore):
-                restored = router.power_up_rack(
-                    event.domain, event.at_s, self.cold_start_s
-                )
-                for board in restored:
-                    cold_starts += 1
-                    readmit_board(board, event.at_s, event.kind)
-            elif isinstance(event, NetworkPartition):
-                for board in router.rack_boards(event.domain):
-                    if board.reachable:
-                        drain_board(board, event.at_s, event.kind)
-                router.partition_rack(event.domain, event.at_s)
-            elif isinstance(event, NetworkHeal):
-                healed = router.heal_rack(event.domain, event.at_s)
-                for board in healed:
-                    readmit_board(board, event.at_s, event.kind)
-            elif isinstance(event, CorrelatedDramFault):
-                members = [
-                    b.name for b in router.rack_boards(event.domain)
-                ]
-                for flip in event.expand(members):
-                    apply_board_dram(flip)
-            elif isinstance(event, ReplicaCrash):
-                board = router.by_name(event.replica)
-                if board.healthy:
-                    abort_inflight(event.replica, event.at_s)
-                    router.crash(event.replica, event.at_s)
-                    monitor.record_crash(event.replica, event.at_s)
-            elif isinstance(event, ReplicaRecovery):
-                board = router.recover(event.replica, event.at_s)
-                if board.up:
-                    monitor.record_recovery(event.replica, event.at_s)
-            elif isinstance(event, ReplicaSlowdown):
-                board = router.by_name(event.replica)
-                if board.healthy:
-                    board.slow_factor = event.factor
-                    monitor.record_slowdown(event.replica, event.at_s)
-            elif isinstance(event, TPEFault):
-                if event.stuck:
-                    coords = masked.setdefault(event.replica, set())
-                    coords.add(event.coord)
-                    board = router.by_name(event.replica)
-                    try:
-                        board.degrade_factor = (
-                            self.service.degrade_slowdown(
-                                frozenset(coords),
-                                self.batch_policy.max_batch,
-                            )
-                        )
-                    except (FaultError, ScheduleError):
-                        # No healthy (schedulable) sub-grid left: the
-                        # overlay is gone.
-                        if board.healthy:
-                            abort_inflight(event.replica, event.at_s)
-                            router.crash(event.replica, event.at_s)
-                            monitor.record_crash(event.replica, event.at_s)
-                elif policy.detects:
-                    mark_corrupt(event.replica, "tpe_transient")
-                else:
-                    abort_inflight(event.replica, event.at_s)
-            elif isinstance(event, DramBitFlip):
-                apply_board_dram(event)
-            elif isinstance(event, LinkFault):
-                abort_inflight(event.replica, event.at_s)
-            admission.fault_pressure = (
-                router.n_routable < router.n_active
-            )
-
-        def publish_gauges(at_s: float) -> None:
-            """Refresh the fleet gauges the autoscaler consumes."""
-            nonlocal last_busy_total
-            gauges.gauge(
-                GAUGE_QUEUE_DEPTH, "queued requests across all tenants"
-            ).set(queue.depth)
-            busy_total = sum(b.busy_s for b in router.boards)
-            denom = tick_interval * max(1, router.n_routable)
-            gauges.gauge(
-                GAUGE_UTILIZATION,
-                "fleet busy fraction over the last autoscale interval",
-            ).set(min(1.0, max(0.0, (busy_total - last_busy_total) / denom)))
-            last_busy_total = busy_total
-            window_s = self.autoscale_policy.p99_window_s \
-                if self.autoscale_policy is not None else math.inf
-            while p99_window and p99_window[0][0] < at_s - window_s:
-                p99_window.popleft()
-            gauges.gauge(
-                GAUGE_P99_S, "p99 latency over the completion window"
-            ).set(
-                percentile([lat for _, lat in p99_window], 99)
-                if p99_window else 0.0
-            )
-            gauges.gauge(GAUGE_ACTIVE, "autoscaled-in boards").set(
-                router.n_active
-            )
-            gauges.gauge(GAUGE_ROUTABLE, "boards eligible for work").set(
-                router.n_routable
-            )
-
-        def autoscale_tick(at_s: float) -> None:
-            nonlocal cold_starts
-            assert scaler is not None
-            publish_gauges(at_s)
-            activated, deactivated = scaler.tick(at_s, gauges, router)
-            for name in activated:
-                cold_starts += 1
-                tracer.instant(
-                    "cluster.scale_up", at=at_s, track=name,
-                    warm_at_s=at_s + self.cold_start_s,
-                )
-                metrics.counter(
-                    "cluster_scale_events", "autoscaler actions, by kind"
-                ).inc(kind="up")
-            for name in deactivated:
-                tracer.instant("cluster.scale_down", at=at_s, track=name)
-                metrics.counter(
-                    "cluster_scale_events", "autoscaler actions, by kind"
-                ).inc(kind="down")
-            admission.fault_pressure = (
-                router.n_routable < router.n_active
-            )
-
-        while (arrival_idx < len(requests) or retryq or len(queue)
-               or inflight_seqs):
-            # Apply fault events due at the current instant first: a
-            # rack dying at t must not receive work dispatched at t.
-            while fault_idx < len(faults) and faults[fault_idx].at_s <= now:
-                apply_fault(faults[fault_idx])
-                fault_idx += 1
-
-            # Autoscaler evaluations due at the current instant (after
-            # faults: the tick sees the post-fault fleet state).
-            while scaler is not None and next_tick_s <= now:
-                autoscale_tick(next_tick_s)
-                next_tick_s += tick_interval
-
-            # Requeue retries that have served their backoff.
-            while retryq and retryq[0][0] <= now:
-                _, _, request = heapq.heappop(retryq)
-                queue.push(request)
-                depth_max = max(depth_max, queue.depth)
-
-            # Admit every arrival due at the current instant, so a burst
-            # landing at one timestamp batches together.
-            while (arrival_idx < len(requests)
-                   and requests[arrival_idx].arrival_s <= now):
-                request = requests[arrival_idx]
-                arrival_idx += 1
-                tenant = request.tenant
-                t_offered[tenant] = t_offered.get(tenant, 0) + 1
-                quota = self.tenant_policy.quota(tenant)
-                if quota is not None and queue.tenant_depth(tenant) >= quota:
-                    t_quota[tenant] = t_quota.get(tenant, 0) + 1
-                    t_rejected[tenant] = t_rejected.get(tenant, 0) + 1
-                    metrics.counter(
-                        "cluster_quota_rejections",
-                        "arrivals refused by tenant quota",
-                    ).inc(tenant=tenant)
-                elif admission.admit(queue.depth):
-                    queue.push(request)
-                    depth_max = max(depth_max, queue.depth)
-                else:
-                    t_rejected[tenant] = t_rejected.get(tenant, 0) + 1
-
-            # Shed queued requests whose deadline has already passed.
-            for request in queue.expire(now):
-                drop(request, DROP_DEADLINE, now)
-
-            # Launch batches while a board is free and the policy fires.
-            while True:
-                degraded = admission.degraded(queue.depth)
-                if not queue.ready(now, degraded=degraded):
-                    break
-                if router.free_board(now) is None:
-                    break
-                if degraded:
-                    admission.degraded_dispatches += 1
-                batch = queue.pop(now)
-                avoid = frozenset(
-                    last_failed[r.request_id] for r in batch.requests
-                    if r.request_id in last_failed
-                ) if self.hedge_retries else frozenset()
-                board = router.free_board(now, avoid)
-                assert board is not None  # a free board existed above
-                if avoid and board.name not in avoid:
-                    hedged_dispatches += 1
-                    tracer.instant(
-                        "cluster.hedged", at=now, track=board.name,
-                        avoided=",".join(sorted(avoid)),
-                    )
-                factor = board.service_factor
-                dispatch = router.dispatch(
-                    board, batch, now,
-                    occupancy_s=(
-                        self.service.occupancy_s(batch.size) * factor
-                    ),
-                    latency_s=self.service.latency_s(batch.size) * factor,
-                )
-                for req in batch.requests:
-                    req.dispatch_s = now
-                    req.batch_size = batch.size
-                    req.replica = dispatch.replica
-                    req.attempts += 1
-                seq += 1
-                inflight_seqs[seq] = dispatch
-                heapq.heappush(
-                    inflight, (dispatch.complete_s, seq, dispatch)
-                )
-
-            # Advance the clock to the next event.
-            candidates = []
-            if arrival_idx < len(requests):
-                candidates.append(requests[arrival_idx].arrival_s)
-            if retryq:
-                candidates.append(retryq[0][0])
-            if inflight_seqs:
-                candidates.append(inflight[0][0])
-            if fault_idx < len(faults):
-                candidates.append(faults[fault_idx].at_s)
-            if len(queue):
-                next_free = router.next_free_s()
-                if math.isfinite(next_free):
-                    candidates.append(
-                        max(queue.next_deadline(), next_free)
-                    )
-                expiry = queue.next_expiry_s()
-                if math.isfinite(expiry):
-                    candidates.append(expiry)
-            if scaler is not None and (
-                candidates or (len(queue) and router.standby_boards())
-            ):
-                # A tick is only worth waiting for when some other event
-                # will eventually fire, or the scaler could rescue
-                # stranded work by activating a standby board; otherwise
-                # ticking forever would spin the loop.
-                candidates.append(next_tick_s)
-            if not candidates:
-                # No board will ever free and no event is pending:
-                # strand-drop whatever is still queued or backing off.
-                for request in queue.pop_all():
-                    drop(request, DROP_NO_REPLICA, now)
-                while retryq:
-                    _, _, request = heapq.heappop(retryq)
-                    drop(request, DROP_NO_REPLICA, now)
-                break
-            next_t = max(min(candidates), now)
-            depth_integral += queue.depth * (next_t - now)
-            now = next_t
-
-            # Retire completions due at the new instant.
-            while inflight and inflight[0][0] <= now:
-                done_s, seq_id, dispatch = heapq.heappop(inflight)
-                if seq_id in aborted:
-                    aborted.discard(seq_id)
-                    continue
-                del inflight_seqs[seq_id]
-                cause = corrupt.pop(seq_id, None)
-                if cause is not None:
-                    # The batch's ABFT verification fails here, after it
-                    # paid its full service time.
-                    integrity_counts["sdc_detected"] = (
-                        integrity_counts.get("sdc_detected", 0) + 1
-                    )
-                    metrics.counter(
-                        "integrity_events", "ABFT verification outcomes"
-                    ).inc(kind="sdc_detected", cause=cause)
-                    tracer.instant(
-                        "integrity.sdc_detected", at=done_s,
-                        track=dispatch.replica, cause=cause,
-                        size=dispatch.batch.size,
-                    )
-                    if policy.corrects and cause == "tpe_transient":
-                        # A lone accumulator upset: the row/column
-                        # syndromes localize it and the repaired output
-                        # re-verifies — serve the batch normally.
-                        integrity_counts["corrected"] = (
-                            integrity_counts.get("corrected", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="corrected", cause=cause)
-                        tracer.instant(
-                            "integrity.corrected", at=done_s,
-                            track=dispatch.replica,
-                        )
-                    elif policy.reexecutes:
-                        integrity_counts["reexecuted"] = (
-                            integrity_counts.get("reexecuted", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="reexecuted", cause=cause)
-                        tracer.instant(
-                            "integrity.reexecuted", at=done_s,
-                            track=dispatch.replica,
-                            size=dispatch.batch.size,
-                        )
-                        for req in dispatch.batch.requests:
-                            last_failed[req.request_id] = dispatch.replica
-                            retry_or_drop(req, done_s)
-                        continue
-                    else:
-                        integrity_counts["dropped"] = (
-                            integrity_counts.get("dropped", 0) + 1
-                        )
-                        metrics.counter(
-                            "integrity_events", "ABFT verification outcomes"
-                        ).inc(kind="dropped", cause=cause)
-                        for req in dispatch.batch.requests:
-                            drop(req, DROP_SDC, done_s)
-                        continue
-                for req in dispatch.batch.requests:
-                    req.complete_s = done_s
-                    completed.append(req)
-                    t_completed[req.tenant] = (
-                        t_completed.get(req.tenant, 0) + 1
-                    )
-                    last_failed.pop(req.request_id, None)
-                    p99_window.append((done_s, done_s - req.arrival_s))
-                    metrics.counter(
-                        "serving_requests_completed", "requests served"
-                    ).inc()
-                    metrics.histogram(
-                        "serving_request_latency_s",
-                        "end-to-end request latency, seconds",
-                    ).observe(done_s - req.arrival_s)
-                if tracer.enabled:
-                    trace_retired_batch(
-                        self.service, tracer, dispatch, done_s
-                    )
-                t_last_complete = max(t_last_complete, done_s)
-
-        makespan = t_last_complete - t_start
-        n_quota_rejected = sum(t_quota.values())
-        if metrics.enabled:
-            for name, util in router.utilization(makespan).items():
-                metrics.gauge(
-                    "serving_replica_utilization",
-                    "busy fraction over the makespan",
-                ).set(util, replica=name)
-            for rack, util in router.rack_utilization(makespan).items():
-                metrics.gauge(
+        if self.metrics.enabled:
+            for rack, util in report.rack_utilization.items():
+                self.metrics.gauge(
                     "cluster_rack_utilization",
                     "mean member busy fraction over the makespan",
                 ).set(util, rack=rack)
-            metrics.gauge(
-                "serving_queue_depth_max", "peak batcher queue depth"
-            ).set(depth_max)
-            metrics.counter(
-                "serving_requests_rejected", "arrivals refused by admission"
-            ).inc(admission.rejected + n_quota_rejected)
-        core = ServingReport(
-            model=model,
-            completed=tuple(completed),
-            n_rejected=admission.rejected + n_quota_rejected,
-            slo_s=self.slo_s,
-            makespan_s=makespan,
-            queue_depth_time_avg=(
-                depth_integral / makespan if makespan > 0 else 0.0
-            ),
-            queue_depth_max=depth_max,
-            utilization=router.utilization(makespan),
-            degraded_dispatches=admission.degraded_dispatches,
-            cache_stats=self.service.cache_stats(),
-            dropped=tuple(dropped),
-            n_retries=n_retries,
-            fault_counts=dict(sorted(fault_counts.items())),
-            integrity_policy=policy.value if policy.detects else None,
-            integrity_counts=dict(sorted(integrity_counts.items())),
-            health=(
-                monitor.finalize(t_last_complete, t_start)
-                if monitor is not None else None
-            ),
-        )
-        per_tenant = {
-            tenant: TenantStats(
-                tenant=tenant,
-                n_offered=t_offered.get(tenant, 0),
-                n_completed=t_completed.get(tenant, 0),
-                n_rejected=t_rejected.get(tenant, 0),
-                n_dropped=t_dropped.get(tenant, 0),
-                n_quota_rejected=t_quota.get(tenant, 0),
-            )
-            for tenant in sorted(t_offered)
-        }
-        return ClusterReport(
-            core=core,
-            t_start_s=t_start,
-            n_racks=self.topology.n_racks,
-            n_boards=self.topology.n_boards,
-            per_tenant=per_tenant,
-            scale_ups=scaler.scale_ups if scaler else 0,
-            scale_downs=scaler.scale_downs if scaler else 0,
-            autoscale_ticks=scaler.ticks if scaler else 0,
-            hedged_dispatches=hedged_dispatches,
-            drains=drains,
-            readmits=readmits,
-            cold_starts=cold_starts,
-            cold_start_s=self.cold_start_s,
-            rack_utilization=router.rack_utilization(makespan),
-        )
+        return report

@@ -1,9 +1,9 @@
 """Fleet-level serving reports: per-tenant accounting + cluster counters.
 
 A :class:`ClusterReport` wraps the core
-:class:`~repro.serving.metrics.ServingReport` (identical semantics —
-the degenerate one-tenant fixed-fleet cluster run produces a core
-report bit-identical to a plain :class:`ServingEngine` run) and adds
+:class:`~repro.serving.metrics.ServingReport` (the report a
+:class:`~repro.serving.engine.ServingEngine` run returns, from the
+same loop) and adds
 what only exists at fleet scale: per-tenant conservation accounting,
 autoscaler activity, hedged placements, drain/re-admit transitions and
 per-rack utilization.

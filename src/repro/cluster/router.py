@@ -1,9 +1,8 @@
 """The self-healing global router: health-gated board placement.
 
-The router is the fleet analogue of the single-engine
-:class:`~repro.serving.scheduler.DispatchScheduler`, with a richer
-board state machine.  A board is **routable** — eligible for new work —
-only when every gate is open:
+The router places every batch the serving loop launches, from a
+one-rack single deployment up to a fleet.  A board is **routable** —
+eligible for new work — only when every gate is open:
 
 * ``healthy``   — not crashed (board-level fault);
 * ``powered``   — its rack has power;

@@ -11,10 +11,11 @@ mechanisms keep a heavy tenant from starving light ones:
   tenants receive service proportional to their weights, with ties
   broken by tenant name.  Everything is deterministic.
 
-With a single tenant the whole structure degenerates to the plain FIFO
-:class:`~repro.serving.batcher.Batcher`: identical ready/deadline
-semantics, identical pop order — which is what lets a one-tenant
-cluster run reproduce a plain :class:`ServingEngine` run bit-for-bit.
+With a single tenant the whole structure degenerates to a plain FIFO
+batcher: launch at ``max_batch`` queued requests or at the oldest
+head's ``max_wait_s``, pop in arrival order.  That is the queue a
+single-deployment :class:`~repro.serving.engine.ServingEngine` run
+batches with.
 """
 
 from __future__ import annotations
@@ -77,13 +78,13 @@ class TenantPolicy:
 class TenantQueueSet:
     """Per-tenant FIFO queues behind one stride-scheduled batch former.
 
-    Mirrors the :class:`~repro.serving.batcher.Batcher` interface
-    (``ready`` / ``next_deadline`` / ``next_expiry_s`` / ``expire`` /
-    ``pop`` / ``pop_all``) so the cluster engine's event loop matches
-    the single-engine loop, plus per-tenant depth accounting for quota
-    admission.  Request deadlines are tracked in a lazy min-heap, so
-    the per-iteration expiry probe is O(1) instead of an O(depth) scan
-    — at fleet scale the queue can hold thousands of requests.
+    The serving loop's only queue: ``ready`` / ``next_deadline`` /
+    ``next_expiry_s`` / ``expire`` / ``pop`` / ``pop_all`` implement the
+    :class:`~repro.serving.batcher.BatchPolicy` launch rule, plus
+    per-tenant depth accounting for quota admission.  Request deadlines
+    are tracked in a lazy min-heap, so the per-iteration expiry probe is
+    O(1) instead of an O(depth) scan — at fleet scale the queue can hold
+    thousands of requests.
     """
 
     def __init__(self, batch_policy: BatchPolicy, tenants: TenantPolicy):
@@ -130,7 +131,12 @@ class TenantQueueSet:
         return [(t, q) for t, q in self._queues.items() if q]
 
     def ready(self, now_s: float, degraded: bool = False) -> bool:
-        """Whether a batch should launch at ``now_s`` (Batcher semantics)."""
+        """Whether a batch should launch at ``now_s``.
+
+        Launch at ``max_batch`` queued requests or once the oldest head
+        has waited ``max_wait_s``; ``degraded`` (set by admission
+        control under load or fault pressure) waives the formation wait.
+        """
         if not self._depth:
             return False
         if degraded or self._depth >= self.batch_policy.max_batch:

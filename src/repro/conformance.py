@@ -41,9 +41,7 @@ from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.integrity.abft import abft_layer_output
 from repro.overlay.config import OverlayConfig
 from repro.analysis.quantization import mixed_precision_report
-from repro.serving.batcher import Batch, BatchServiceModel
-from repro.serving.request import InferenceRequest
-from repro.serving.scheduler import DispatchScheduler, ReplicaService
+from repro.serving.batcher import BatchServiceModel
 from repro.sim.cycle import CycleSimulator
 from repro.sim.functional import random_layer_operands
 from repro.sim.host import HostCpu
@@ -375,21 +373,14 @@ def run_workload_conformance(
         except FTDLError as error:
             report.errors.append(f"chain: {error}")
 
-    # 3. Serve one batch end to end.
+    # 3. Serve one batch end to end: its completion time on an idle
+    # replica is the batch's service time.
     try:
         model = BatchServiceModel(network, config, cache=cache)
-        service = ReplicaService(model)
-        scheduler = DispatchScheduler(service)
-        requests = tuple(
-            InferenceRequest(request_id=i, model=spec.name, arrival_s=0.0)
-            for i in range(budget.batch_size)
-        )
-        batch = Batch(requests=requests, formed_s=0.0)
-        replica = scheduler.free_replica(0.0)
-        dispatch = scheduler.dispatch(replica, batch, 0.0)
-        report.serve_batch = batch.size
-        report.serve_s = dispatch.complete_s
-        if dispatch.complete_s <= 0.0:
+        serve_s = model.service_s(budget.batch_size)
+        report.serve_batch = budget.batch_size
+        report.serve_s = serve_s
+        if serve_s <= 0.0:
             report.errors.append("serve: non-positive completion time")
     except FTDLError as error:
         report.errors.append(f"serve: {error}")

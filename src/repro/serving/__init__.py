@@ -9,18 +9,20 @@ batching (paper §I's batch → efficiency trade) moves both.
 Everything runs on a deterministic virtual clock:
 
 * :mod:`repro.serving.request` — requests + seeded arrival processes.
-* :mod:`repro.serving.batcher` — dynamic batching and the batch-size →
-  service-time model (compiled through :mod:`repro.compiler.search`).
-* :mod:`repro.serving.scheduler` — dispatch across overlay replicas or
-  a :func:`repro.analysis.partition.plan_deployment` pipeline.
+* :mod:`repro.serving.batcher` — dynamic-batching knobs and the
+  batch-size → service-time model (compiled through
+  :mod:`repro.compiler.search`).
+* :mod:`repro.serving.scheduler` — service models for overlay replicas
+  or a :func:`repro.analysis.partition.plan_deployment` pipeline.
 * :mod:`repro.serving.admission` — bounded queues, backpressure, and
   graceful degradation to smaller batches under load.
-* :mod:`repro.serving.engine` — the event-driven loop, including
-  fault-tolerant execution against a :class:`repro.faults.FaultSchedule`
-  (failover, deadline-aware retry, degraded-mode dispatch) and
-  result-integrity handling under a
-  :class:`repro.integrity.IntegrityPolicy` (ABFT detection, in-place
-  correction, verified re-execution).
+* :mod:`repro.serving.engine` — :class:`ServingEngine`, the one-rack,
+  one-tenant run of the serving event loop
+  (:mod:`repro.cluster.loop`), including fault-tolerant execution
+  against a :class:`repro.faults.FaultSchedule` (failover,
+  deadline-aware retry, degraded-mode dispatch) and result-integrity
+  handling under a :class:`repro.integrity.IntegrityPolicy` (ABFT
+  detection, in-place correction, verified re-execution).
 * :mod:`repro.serving.metrics` — throughput, p50/p95/p99, utilization,
   SLO-violation, availability, and drop-reason accounting.
 """
@@ -31,7 +33,6 @@ from repro.serving.batcher import (
     Batch,
     BatchCost,
     BatchPolicy,
-    Batcher,
     BatchServiceModel,
 )
 from repro.serving.engine import ServingEngine
@@ -44,11 +45,7 @@ from repro.serving.request import (
     trace_arrivals,
     uniform_arrivals,
 )
-from repro.serving.scheduler import (
-    DispatchScheduler,
-    PipelineService,
-    ReplicaService,
-)
+from repro.serving.scheduler import PipelineService, ReplicaService
 
 __all__ = [
     "AdmissionController",
@@ -56,9 +53,7 @@ __all__ = [
     "Batch",
     "BatchCost",
     "BatchPolicy",
-    "Batcher",
     "BatchServiceModel",
-    "DispatchScheduler",
     "InferenceRequest",
     "IntegrityPolicy",
     "PipelineService",

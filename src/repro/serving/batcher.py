@@ -10,14 +10,14 @@ across batch sizes through one shared :class:`~repro.compiler.cache.
 ScheduleCache`.  CONV layers have no batch loop in the mapping space, so
 a batch of B frames runs them back-to-back (B× the per-frame cycles).
 
-:class:`Batcher` implements the standard dynamic-batching policy: launch
+:class:`BatchPolicy` holds the standard dynamic-batching knobs: launch
 when ``max_batch`` requests are waiting, or when the oldest request has
-waited ``max_wait_s``, whichever comes first.
+waited ``max_wait_s``, whichever comes first.  The serving loop's queue,
+:class:`~repro.cluster.tenancy.TenantQueueSet`, applies them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 from repro.compiler.cache import ScheduleCache
@@ -63,79 +63,6 @@ class Batch:
     @property
     def size(self) -> int:
         return len(self.requests)
-
-
-class Batcher:
-    """FIFO queue with max-batch / max-wait launch conditions."""
-
-    def __init__(self, policy: BatchPolicy):
-        self.policy = policy
-        self._queue: deque[InferenceRequest] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def depth(self) -> int:
-        return len(self._queue)
-
-    def push(self, request: InferenceRequest) -> None:
-        self._queue.append(request)
-
-    def ready(self, now_s: float, degraded: bool = False) -> bool:
-        """Whether a batch should launch at ``now_s``.
-
-        ``degraded`` (set by admission control under load) waives the
-        formation wait: any queued work launches as soon as a replica
-        frees, trading batch efficiency for queue drain.
-        """
-        if not self._queue:
-            return False
-        if degraded or len(self._queue) >= self.policy.max_batch:
-            return True
-        # Same expression as next_deadline(): with floats,
-        # ``now - arrival >= wait`` can disagree with
-        # ``now >= arrival + wait`` exactly at the deadline instant, and
-        # the engine would spin on a deadline event that never fires.
-        return now_s >= self._queue[0].arrival_s + self.policy.max_wait_s
-
-    def next_deadline(self) -> float:
-        """Virtual time at which the oldest request's max-wait expires."""
-        if not self._queue:
-            raise ServingError("batcher queue is empty")
-        return self._queue[0].arrival_s + self.policy.max_wait_s
-
-    def next_expiry_s(self) -> float:
-        """Earliest request deadline in the queue (inf when none)."""
-        return min(
-            (r.deadline_at_s for r in self._queue), default=float("inf")
-        )
-
-    def expire(self, now_s: float) -> list[InferenceRequest]:
-        """Remove and return queued requests whose deadline has passed."""
-        if not self._queue:
-            return []
-        expired = [r for r in self._queue if r.expired(now_s)]
-        if expired:
-            self._queue = deque(
-                r for r in self._queue if not r.expired(now_s)
-            )
-        return expired
-
-    def pop(self, now_s: float) -> Batch:
-        """Form a batch of up to ``max_batch`` oldest requests."""
-        if not self._queue:
-            raise ServingError("batcher queue is empty")
-        taken = []
-        while self._queue and len(taken) < self.policy.max_batch:
-            taken.append(self._queue.popleft())
-        return Batch(requests=tuple(taken), formed_s=now_s)
-
-    def pop_all(self) -> list[InferenceRequest]:
-        """Drain the whole queue (used to strand-drop unreachable work)."""
-        drained = list(self._queue)
-        self._queue.clear()
-        return drained
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ from typing import Iterable, Sequence
 
 from repro.errors import ServingError
 
+#: Drop reasons the serving loop stamps on ``InferenceRequest.drop_reason``.
+DROP_DEADLINE = "deadline"
+DROP_RETRY_EXHAUSTED = "retry_exhausted"
+DROP_NO_REPLICA = "no_healthy_replica"
+DROP_SDC = "sdc_detected"
+
 
 def require_finite(name: str, value: float) -> float:
     """Reject NaN/inf knobs with a clear message.
@@ -55,8 +61,8 @@ class InferenceRequest:
         drop_reason: Why the request was dropped (``None`` if it was
             not), e.g. ``"deadline"`` or ``"retry_exhausted"``.
         tenant: Owning tenant for fleet-scale fair-share admission
-            (:mod:`repro.cluster`); single-engine runs leave the
-            default and behave exactly as before.
+            (:mod:`repro.cluster`); single-deployment runs usually
+            leave the default, which makes the queue plain FIFO.
     """
 
     request_id: int

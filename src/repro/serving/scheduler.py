@@ -12,26 +12,28 @@ Two deployment shapes, one dispatch interface:
   pipeline accepts the next batch after only the *bottleneck* stage time
   (initiation interval), so occupancy < latency.
 
-:class:`DispatchScheduler` is deployment-agnostic: it tracks per-replica
-free times and busy accounting, and places each batch on the replica
-that frees earliest.
+Both expose the replica names, latency, occupancy and degraded-grid
+slowdown the serving loop's :class:`~repro.cluster.router.ClusterRouter`
+places batches with; a placement is recorded as a :class:`Dispatch`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Sequence
 
 from repro.analysis.partition import plan_deployment
 from repro.compiler.cache import CacheStats, ScheduleCache
-from repro.errors import FaultError, ServingError
+from repro.errors import ServingError
 from repro.faults.events import TpeCoord
 from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.overlay.config import OverlayConfig
 from repro.serving.batcher import Batch, BatchServiceModel
 from repro.workloads.network import Network
+
+#: Degraded-grid service models by (stage index, sub-grid shape).
+_DegradedMemo = dict[tuple[int, tuple[int, int, int]], BatchServiceModel]
 
 
 class ReplicaService:
@@ -42,7 +44,7 @@ class ReplicaService:
             raise ServingError(f"need >= 1 replica, got {n_replicas}")
         self.model = model
         self.n_replicas = n_replicas
-        self._degraded: dict[tuple[int, int, int], BatchServiceModel] = {}
+        self._degraded: _DegradedMemo = {}
 
     def latency_s(self, batch_size: int) -> float:
         return self.model.service_s(batch_size)
@@ -76,19 +78,9 @@ class ReplicaService:
         Raises:
             FaultError: if no healthy sub-grid remains.
         """
-        if not masked:
-            return 1.0
-        config = largest_healthy_subgrid(
-            self.model.config, FaultMask.from_coords(masked)
+        return _degrade_slowdown(
+            self._degraded, (self.model,), masked, batch_size
         )
-        if config.grid == self.model.config.grid:
-            return 1.0
-        if config.grid not in self._degraded:
-            self._degraded[config.grid] = BatchServiceModel(
-                self.model.network, config
-            )
-        degraded_s = self._degraded[config.grid].service_s(batch_size)
-        return max(1.0, degraded_s / self.model.service_s(batch_size))
 
 
 class PipelineService:
@@ -120,6 +112,7 @@ class PipelineService:
             )
         self.plan = plan
         self.n_replicas = n_replicas
+        self._degraded: _DegradedMemo = {}
         self._stages = []
         for stage in plan.stages:
             stage_config = (
@@ -186,56 +179,51 @@ class PipelineService:
         Approximation: the mask is applied to every stage's grid (the
         stages share the replica's physical overlay shape) and the
         inflation of the *bottleneck* stage is returned, since the
-        initiation interval gates pipeline throughput.
+        initiation interval gates pipeline throughput.  Degraded stages
+        are compiled once per (stage, sub-grid) and memoized.
 
         Raises:
             FaultError: if no healthy sub-grid remains.
         """
-        if not masked:
-            return 1.0
-        worst = 1.0
-        for stage in self._stages:
-            config = largest_healthy_subgrid(
-                stage.config, FaultMask.from_coords(masked)
-            )
-            if config.grid == stage.config.grid:
-                continue
-            degraded = BatchServiceModel(stage.network, config)
-            worst = max(
-                worst, degraded.service_s(batch_size)
-                / stage.service_s(batch_size)
-            )
-        return worst
+        return _degrade_slowdown(
+            self._degraded, self._stages, masked, batch_size
+        )
 
 
-@dataclass
-class ReplicaState:
-    """Dispatch and health bookkeeping for one replica.
+def _degrade_slowdown(
+    memo: _DegradedMemo,
+    stages: Sequence[BatchServiceModel],
+    masked: Collection[TpeCoord],
+    batch_size: int,
+) -> float:
+    """Worst service-time inflation over ``stages`` when each runs on the
+    largest healthy sub-grid that avoids ``masked`` TPEs.
 
-    Attributes:
-        healthy: False while crashed; the scheduler never places work
-            on an unhealthy replica.
-        slow_factor: Service-time multiplier from throttling faults
-            (1.0 = full speed); cleared on recovery.
-        degrade_factor: Service-time multiplier from running on a
-            masked (degraded) sub-grid; permanent for the run.
+    A degraded stage compiles with its healthy model's objective, so the
+    factor compares like with like, and is memoized in ``memo`` by
+    (stage index, sub-grid shape).
+
+    Raises:
+        FaultError: if no healthy sub-grid remains.
     """
-
-    name: str
-    free_at_s: float = 0.0
-    busy_s: float = 0.0
-    batches: int = 0
-    requests: int = 0
-    healthy: bool = True
-    slow_factor: float = 1.0
-    degrade_factor: float = 1.0
-    crashes: int = 0
-    aborted_batches: int = 0
-
-    @property
-    def service_factor(self) -> float:
-        """Combined service-time inflation for new dispatches."""
-        return self.slow_factor * self.degrade_factor
+    if not masked:
+        return 1.0
+    mask = FaultMask.from_coords(masked)
+    worst = 1.0
+    for index, stage in enumerate(stages):
+        config = largest_healthy_subgrid(stage.config, mask)
+        if config.grid == stage.config.grid:
+            continue
+        key = (index, config.grid)
+        if key not in memo:
+            memo[key] = BatchServiceModel(
+                stage.network, config, objective=stage.cache.objective
+            )
+        worst = max(
+            worst,
+            memo[key].service_s(batch_size) / stage.service_s(batch_size),
+        )
+    return worst
 
 
 @dataclass(frozen=True)
@@ -246,92 +234,3 @@ class Dispatch:
     replica: str
     start_s: float
     complete_s: float
-
-
-class DispatchScheduler:
-    """Earliest-free placement of batches onto *healthy* replicas."""
-
-    def __init__(self, service: ReplicaService | PipelineService):
-        self.service = service
-        self.replicas = [
-            ReplicaState(name=name) for name in service.replica_names()
-        ]
-        self._by_name = {r.name: r for r in self.replicas}
-
-    def by_name(self, name: str) -> ReplicaState:
-        """Look up one replica's state.
-
-        Raises:
-            FaultError: for an unknown replica name.
-        """
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FaultError("unknown replica", replica=name) from None
-
-    @property
-    def n_healthy(self) -> int:
-        return sum(1 for r in self.replicas if r.healthy)
-
-    def free_replica(self, now_s: float) -> ReplicaState | None:
-        """The free healthy replica with the lowest index, or None."""
-        for replica in self.replicas:
-            if replica.healthy and replica.free_at_s <= now_s:
-                return replica
-        return None
-
-    def next_free_s(self) -> float:
-        """Earliest instant a healthy replica frees (inf if none up)."""
-        return min(
-            (r.free_at_s for r in self.replicas if r.healthy),
-            default=math.inf,
-        )
-
-    def crash(self, name: str, now_s: float) -> ReplicaState:
-        """Mark ``name`` crashed; rolls back its unfinished busy time."""
-        replica = self.by_name(name)
-        if replica.healthy:
-            replica.healthy = False
-            replica.crashes += 1
-            if replica.free_at_s > now_s:
-                replica.busy_s -= replica.free_at_s - now_s
-                replica.free_at_s = now_s
-        return replica
-
-    def recover(self, name: str, now_s: float) -> ReplicaState:
-        """Return ``name`` to healthy full-speed service at ``now_s``."""
-        replica = self.by_name(name)
-        if not replica.healthy:
-            replica.healthy = True
-            replica.free_at_s = max(replica.free_at_s, now_s)
-        replica.slow_factor = 1.0
-        return replica
-
-    def dispatch(self, replica: ReplicaState, batch: Batch,
-                 now_s: float) -> Dispatch:
-        """Place ``batch`` on ``replica`` starting at ``now_s``."""
-        if not replica.healthy:
-            raise ServingError(f"replica {replica.name} is down")
-        if replica.free_at_s > now_s:
-            raise ServingError(
-                f"replica {replica.name} busy until {replica.free_at_s:.6f}"
-            )
-        factor = replica.service_factor
-        occupancy = self.service.occupancy_s(batch.size) * factor
-        latency = self.service.latency_s(batch.size) * factor
-        replica.free_at_s = now_s + occupancy
-        replica.busy_s += occupancy
-        replica.batches += 1
-        replica.requests += batch.size
-        return Dispatch(
-            batch=batch,
-            replica=replica.name,
-            start_s=now_s,
-            complete_s=now_s + latency,
-        )
-
-    def utilization(self, makespan_s: float) -> dict[str, float]:
-        """Busy fraction per replica over the run's makespan."""
-        if makespan_s <= 0:
-            return {r.name: 0.0 for r in self.replicas}
-        return {r.name: r.busy_s / makespan_s for r in self.replicas}

@@ -1,14 +1,17 @@
-"""Dynamic batching policy and the batch → service-time model."""
+"""Dynamic batching policy, the batching queue and the batch →
+service-time model.
+
+The serving loop's batching queue is a
+:class:`~repro.cluster.tenancy.TenantQueueSet`; with the one tenant a
+single-deployment run has it is a plain FIFO batcher, tested here.
+"""
 
 import pytest
 
+from repro.cluster.tenancy import TenantPolicy, TenantQueueSet
 from repro.compiler.cache import ScheduleCache
 from repro.errors import ServingError
-from repro.serving.batcher import (
-    Batcher,
-    BatchPolicy,
-    BatchServiceModel,
-)
+from repro.serving.batcher import BatchPolicy, BatchServiceModel
 from repro.serving.request import InferenceRequest, make_requests
 from repro.workloads.layers import EwopLayer, MatMulLayer
 from repro.workloads.network import Network
@@ -16,6 +19,11 @@ from repro.workloads.network import Network
 
 def _req(i: int, t: float) -> InferenceRequest:
     return InferenceRequest(request_id=i, model="m", arrival_s=t)
+
+
+def _queue(policy: BatchPolicy) -> TenantQueueSet:
+    """The batching queue of a one-tenant run."""
+    return TenantQueueSet(policy, TenantPolicy())
 
 
 class TestBatchPolicy:
@@ -38,32 +46,34 @@ class TestBatchPolicy:
 
 
 class TestBatcher:
+    """Launch conditions and FIFO pop of the one-tenant queue."""
+
     def test_not_ready_when_empty(self):
-        b = Batcher(BatchPolicy(max_batch=4, max_wait_s=0.01))
+        b = _queue(BatchPolicy(max_batch=4, max_wait_s=0.01))
         assert not b.ready(100.0)
 
     def test_ready_at_max_batch(self):
-        b = Batcher(BatchPolicy(max_batch=2, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=2, max_wait_s=10.0))
         b.push(_req(0, 0.0))
         assert not b.ready(0.0)
         b.push(_req(1, 0.0))
         assert b.ready(0.0)
 
     def test_ready_at_deadline(self):
-        b = Batcher(BatchPolicy(max_batch=8, max_wait_s=0.01))
+        b = _queue(BatchPolicy(max_batch=8, max_wait_s=0.01))
         b.push(_req(0, 1.0))
         assert not b.ready(1.009)
         assert b.ready(1.01)
         assert b.ready(b.next_deadline())  # exact instant, no float gap
 
     def test_degraded_waives_wait(self):
-        b = Batcher(BatchPolicy(max_batch=8, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=8, max_wait_s=10.0))
         b.push(_req(0, 0.0))
         assert not b.ready(0.0)
         assert b.ready(0.0, degraded=True)
 
     def test_pop_fifo_capped_at_max_batch(self):
-        b = Batcher(BatchPolicy(max_batch=3, max_wait_s=0.01))
+        b = _queue(BatchPolicy(max_batch=3, max_wait_s=0.01))
         for i in range(5):
             b.push(_req(i, 0.0))
         batch = b.pop(1.0)
@@ -72,7 +82,7 @@ class TestBatcher:
         assert b.depth == 2
 
     def test_pop_empty_raises(self):
-        b = Batcher(BatchPolicy())
+        b = _queue(BatchPolicy())
         with pytest.raises(ServingError):
             b.pop(0.0)
         with pytest.raises(ServingError):
@@ -80,12 +90,14 @@ class TestBatcher:
 
 
 class TestBatcherExpiry:
+    """Deadline expiry and draining of the one-tenant queue."""
+
     def _req(self, i, t, deadline):
         return InferenceRequest(request_id=i, model="m", arrival_s=t,
                                 deadline_s=deadline)
 
     def test_expire_removes_only_expired(self):
-        b = Batcher(BatchPolicy(max_batch=8, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=8, max_wait_s=10.0))
         b.push(self._req(0, 0.0, 0.5))
         b.push(self._req(1, 0.0, 2.0))
         expired = b.expire(1.0)
@@ -94,7 +106,7 @@ class TestBatcherExpiry:
 
     def test_next_expiry_is_earliest_deadline(self):
         import math
-        b = Batcher(BatchPolicy(max_batch=8, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=8, max_wait_s=10.0))
         assert math.isinf(b.next_expiry_s())
         b.push(self._req(0, 0.0, 2.0))
         b.push(self._req(1, 0.0, 0.5))
@@ -102,14 +114,14 @@ class TestBatcherExpiry:
 
     def test_undeadlined_requests_never_expire(self):
         import math
-        b = Batcher(BatchPolicy(max_batch=8, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=8, max_wait_s=10.0))
         b.push(_req(0, 0.0))
         assert math.isinf(b.next_expiry_s())
         assert b.expire(1e9) == []
         assert b.depth == 1
 
     def test_pop_all_drains(self):
-        b = Batcher(BatchPolicy(max_batch=2, max_wait_s=10.0))
+        b = _queue(BatchPolicy(max_batch=2, max_wait_s=10.0))
         for i in range(5):
             b.push(_req(i, 0.0))
         drained = b.pop_all()
@@ -170,7 +182,7 @@ class TestBatchServiceModel:
 
     def test_requests_keep_arrival_order_identity(self):
         reqs = make_requests([0.0, 0.1], "m")
-        b = Batcher(BatchPolicy(max_batch=2, max_wait_s=0.01))
+        b = _queue(BatchPolicy(max_batch=2, max_wait_s=0.01))
         for r in reqs:
             b.push(r)
         batch = b.pop(0.2)

@@ -2,14 +2,14 @@
 
 import pytest
 
+import repro.serving.scheduler as scheduler
+from repro.cluster.router import ClusterRouter
+from repro.cluster.topology import build_fleet
 from repro.errors import FTDLError, ServingError
+from repro.faults.mask import FaultMask, largest_healthy_subgrid
 from repro.serving.batcher import Batch, BatchServiceModel
 from repro.serving.request import InferenceRequest
-from repro.serving.scheduler import (
-    DispatchScheduler,
-    PipelineService,
-    ReplicaService,
-)
+from repro.serving.scheduler import PipelineService, ReplicaService
 from repro.workloads.layers import EwopLayer, MatMulLayer
 from repro.workloads.network import Network
 
@@ -76,31 +76,101 @@ class TestPipelineService:
         assert stats.misses >= svc.n_devices  # every stage compiled
 
 
+def _one_rack(svc) -> ClusterRouter:
+    """The router a single-deployment run places batches with."""
+    names = svc.replica_names()
+    return ClusterRouter(build_fleet(1, len(names), board_names=names))
+
+
+def _place(router, board, svc, batch: Batch, now: float):
+    return router.dispatch(
+        board, batch, now,
+        occupancy_s=svc.occupancy_s(batch.size),
+        latency_s=svc.latency_s(batch.size),
+    )
+
+
 class TestDispatchScheduler:
+    """Batch placement on a one-rack :class:`ClusterRouter`."""
+
     def test_earliest_free_placement(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 2)
-        sched = DispatchScheduler(svc)
-        r0 = sched.free_replica(0.0)
-        d0 = sched.dispatch(r0, _batch(2), 0.0)
-        r1 = sched.free_replica(0.0)
+        router = _one_rack(svc)
+        r0 = router.free_board(0.0)
+        d0 = _place(router, r0, svc, _batch(2), 0.0)
+        r1 = router.free_board(0.0)
         assert r1 is not r0
-        sched.dispatch(r1, _batch(2), 0.0)
-        assert sched.free_replica(0.0) is None
-        assert sched.next_free_s() == pytest.approx(d0.complete_s)
+        _place(router, r1, svc, _batch(2), 0.0)
+        assert router.free_board(0.0) is None
+        assert router.next_free_s() == pytest.approx(d0.complete_s)
 
     def test_dispatch_busy_replica_raises(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 1)
-        sched = DispatchScheduler(svc)
-        replica = sched.free_replica(0.0)
-        sched.dispatch(replica, _batch(1), 0.0)
+        router = _one_rack(svc)
+        board = router.free_board(0.0)
+        _place(router, board, svc, _batch(1), 0.0)
         with pytest.raises(ServingError):
-            sched.dispatch(replica, _batch(1), 0.0)
+            _place(router, board, svc, _batch(1), 0.0)
 
     def test_utilization_accounting(self, tiny_config):
         svc = ReplicaService(BatchServiceModel(_net(), tiny_config), 2)
-        sched = DispatchScheduler(svc)
-        replica = sched.free_replica(0.0)
-        d = sched.dispatch(replica, _batch(1), 0.0)
-        util = sched.utilization(makespan_s=2 * d.complete_s)
+        router = _one_rack(svc)
+        board = router.free_board(0.0)
+        d = _place(router, board, svc, _batch(1), 0.0)
+        util = router.utilization(makespan_s=2 * d.complete_s)
         assert util["overlay0"] == pytest.approx(0.5)
         assert util["overlay1"] == 0.0
+
+
+class TestDegradeSlowdown:
+    """Stuck-TPE slowdown: memoized per (stage, sub-grid) and priced
+    with the healthy model's own objective."""
+
+    MASK = frozenset([(0, 0, 0)])
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count every BatchServiceModel the service models build."""
+        models = []
+
+        class Counting(BatchServiceModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(scheduler, "BatchServiceModel", Counting)
+        return models
+
+    @staticmethod
+    def _expected(stages, batch_size):
+        mask = FaultMask.from_coords(TestDegradeSlowdown.MASK)
+        worst = 1.0
+        for stage in stages:
+            config = largest_healthy_subgrid(stage.config, mask)
+            degraded = BatchServiceModel(
+                stage.network, config, objective=stage.cache.objective
+            )
+            worst = max(worst, degraded.service_s(batch_size)
+                        / stage.service_s(batch_size))
+        return worst
+
+    def test_pipeline_repeats_build_no_model(self, tiny_config, built):
+        svc = PipelineService(_net(), tiny_config, n_devices=2)
+        del built[:]  # the healthy stages
+        first = svc.degrade_slowdown(self.MASK, 2)
+        assert len(built) == svc.n_devices  # one per degraded stage
+        for batch_size in (2, 2, 4):
+            svc.degrade_slowdown(self.MASK, batch_size)
+        assert len(built) == svc.n_devices
+        assert all(m.cache.objective == "balance" for m in built)
+        assert first == self._expected(svc._stages, 2)
+        assert first > 1.0
+
+    def test_replica_uses_healthy_objective(self, tiny_config, built):
+        model = BatchServiceModel(_net(), tiny_config, objective="balance")
+        svc = ReplicaService(model, 2)
+        factor = svc.degrade_slowdown(self.MASK, 4)
+        svc.degrade_slowdown(self.MASK, 4)
+        assert len(built) == 1
+        assert built[0].cache.objective == "balance"
+        assert factor == self._expected([model], 4)
